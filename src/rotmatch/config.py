@@ -3,6 +3,7 @@ lines mirroring the config dataclasses; every default printable.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .backbone import BackboneConfig
@@ -52,6 +53,13 @@ class Config:
             raise ValueError("train.steps must be positive")
         if self.train.lr <= 0:
             raise ValueError("train.lr must be positive")
+        if self.train.batch_size < 1:
+            raise ValueError("train.batch_size must be at least 1")
+        fine_heads = min(self.matcher.n_heads, self.backbone.fine_dim)
+        if self.backbone.fine_dim % fine_heads:
+            raise ValueError(f"backbone.fine_dim ({self.backbone.fine_dim}) must be divisible "
+                             f"by the fine attention's {fine_heads} heads "
+                             f"(min of matcher.n_heads and fine_dim)")
         return self
 
     def sections(self):
@@ -110,16 +118,36 @@ def load_config(path=None, overrides=None):
         sec = secs[sec_name]
         if not hasattr(sec, field_name):
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(sec, field_name)
-        parsed = parse_value(val)
-        if isinstance(current, tuple) and isinstance(parsed, list):
-            parsed = tuple(parsed)
-        if isinstance(current, bool):
-            parsed = bool(parsed)
-        elif isinstance(current, int) and not isinstance(parsed, bool) \
-                and isinstance(parsed, (int, float)):
-            parsed = int(parsed)
-        elif isinstance(current, float) and isinstance(parsed, (int, float)):
-            parsed = float(parsed)
-        setattr(sec, field_name, parsed)
+        setattr(sec, field_name, _coerce(key, getattr(sec, field_name), parse_value(val)))
     return cfg.validate()
+
+
+def _coerce(key, current, value):
+    """`value` as the type of the field's default `current`, or ValueError.
+
+    Bool fields take only JSON true/false, int fields only integral numbers,
+    float fields only finite numbers, string fields strings and tuple fields
+    lists of numbers.
+    """
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if isinstance(current, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+        return value
+    if isinstance(current, int):
+        if not number(value) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    if isinstance(current, float):
+        if not number(value) or not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        return float(value)
+    if isinstance(current, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        return value
+    if not isinstance(value, list) or not all(number(x) for x in value):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(value)

@@ -27,13 +27,8 @@ class EvalRun:
     config_hash: str
 
 
-def evaluate_pairs(model, sequences, config, dataset_id="dataset", seed_base=None,
-                   workers=1):
-    """Run the full matching + homography pipeline over sequence pairs.
-
-    With workers > 1, pairs are matched by a bounded thread pool; results are
-    aggregated in pair order either way, so reports are identical.
-    """
+def evaluate_pairs(model, sequences, config, dataset_id="dataset", seed_base=None):
+    """Run the full matching + homography pipeline over sequence pairs."""
     ecfg = config.eval
     mcfg = config.matcher
     seed_base = config.eval.ransac_seed if seed_base is None else seed_base
@@ -46,8 +41,7 @@ def evaluate_pairs(model, sequences, config, dataset_id="dataset", seed_base=Non
     if hasattr(model, "eval"):
         model.eval()
 
-    def run_pair(task_with_index):
-        pair_index, (pair_id, split, img_a, img_b, hom) = task_with_index
+    for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
         mset, matches, _ = model.match_pair(img_a, img_b)
         matches = sorted(matches, key=lambda m: -m.confidence)
         matches = matches[:mcfg.max_matches_eval]
@@ -73,15 +67,6 @@ def evaluate_pairs(model, sequences, config, dataset_id="dataset", seed_base=Non
             frac = {float(t): 0.0 for t in ecfg.thresholds}
         else:
             frac = mma(matches, hom, thresholds=ecfg.thresholds)
-        return pair_id, split, err, frac, failed
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_pair, enumerate(tasks)))
-    else:
-        results = [run_pair(item) for item in enumerate(tasks)]
-    for pair_id, split, err, frac, failed in results:
         report.add_pair(pair_id, split, err, frac, failed=failed)
     return report
 

@@ -330,9 +330,11 @@ def _kernel_rotation_taps(k, angle_degrees, masked):
 def rotate_kernel(kernel, elem):
     """Rotate the spatial support of a [..., k, k] kernel by a group element.
 
-    Multiples of 90 degrees are exact grid permutations; other angles use
-    bilinear resampling on the kernel grid with a circular mask of radius
-    (k-1)/2 + 0.5 suppressing corner artifacts.
+    Multiples of 90 degrees are exact grid permutations; other angles apply
+    the fitted linear operator of `_rotation_matrix` (quarter turns times an
+    operator-matched residual rotation), in its tap form from
+    `_kernel_rotation_taps`, with a circular mask of radius (k-1)/2 + 0.5
+    zeroing the corners.
     """
     data = kernel.data if isinstance(kernel, Tensor) else np.asarray(kernel)
     k = data.shape[-1]

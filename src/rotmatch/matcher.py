@@ -30,6 +30,12 @@ class MatcherConfig:
             raise ValueError("theta_c must lie in [0, 1]")
         if self.fine_window % 2 == 0:
             raise ValueError("fine_window must be odd")
+        if self.d_model < 4 or self.d_model % 4:
+            raise ValueError(f"d_model must be a positive multiple of 4 (the positional "
+                             f"encoding has four channel groups), got {self.d_model}")
+        if self.n_heads < 1 or self.d_model % self.n_heads:
+            raise ValueError(f"d_model ({self.d_model}) must be divisible by "
+                             f"n_heads ({self.n_heads})")
         return self
 
 
@@ -84,9 +90,12 @@ def add_positional_encoding(coarse):
 
 def dual_softmax(scores):
     """Confidence matrix: elementwise product of row-wise and column-wise
-    softmaxes of the similarity matrix."""
-    s = scores if isinstance(scores, Tensor) else Tensor(scores)
-    return T.softmax(s, axis=-1) * T.softmax(s, axis=-2)
+    softmaxes of the similarity matrix. Not differentiable (training uses
+    `log_dual_softmax`), so it works in place on two scratch arrays."""
+    s = (scores if isinstance(scores, Tensor) else Tensor(scores)).data
+    rows = T.softmax_into(s, -1, np.empty_like(s))
+    rows *= T.softmax_into(s, -2, np.empty_like(s))
+    return Tensor(rows)
 
 
 def log_dual_softmax(scores):
@@ -138,10 +147,8 @@ class MultiHeadAttention(Module):
         q = split(self.wq(x), t)
         k = split(self.wk(source), s)
         v = split(self.wv(source), s)
-        scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.d_head))
-        attn = T.softmax(scores, axis=-1)
-        out = T.reshape(T.transpose(attn @ v, (0, 2, 1, 3)), (b, t, d))
-        return self.wo(out)
+        out = T.attention(q, k, v, 1.0 / np.sqrt(self.d_head))
+        return self.wo(T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d)))
 
 
 class AttentionBlock(Module):

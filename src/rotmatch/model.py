@@ -33,9 +33,7 @@ class MatcherModel(Module):
     def match_pair(self, img_a, img_b):
         """Match two [3, h, w] images in eval mode.
 
-        Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows). Safe to
-        call concurrently once the model is already in eval mode (the model
-        is then read-only).
+        Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows).
         """
         was_training = self.training
         if was_training:

@@ -334,7 +334,8 @@ def sparse_taps(a, tap_idx, tap_w, out_shape):
 
     tap_idx/tap_w have shape [n_taps, prod(out_shape)]. Entries with weight 0
     may point anywhere. Used to expand steerable base weights into filter
-    banks (rotation resampling has at most 4 taps per coefficient).
+    banks; a row of the fitted kernel-rotation operator can be dense, so
+    n_taps can reach the kernel's k*k entries.
     """
     flat = a.data.ravel()
     acc = np.zeros(tap_idx.shape[1], dtype=a.dtype)
@@ -369,10 +370,17 @@ def matmul(a, b):
     return _record(out, (a, b), bwd)
 
 
+def softmax_into(x, axis, out):
+    """Softmax of array `x` along `axis`, written to `out` (which may be `x`)
+    with no other full-size temporary. Plain numpy, not differentiable."""
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(a, axis=-1):
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_into(a.data, axis, np.empty_like(a.data))
     out = Tensor(s)
 
     def bwd(g):
@@ -380,6 +388,94 @@ def softmax(a, axis=-1):
         return ((g - dot) * s,)
 
     return _record(out, (a,), bwd)
+
+
+# Most bytes of scores `attention` holds at once. Blocks this size keep the
+# 480x640 coarse stage (4800 tokens, 368 MB of scores per head stack) in a
+# few MB, and every training-size input in one block.
+ATTENTION_BLOCK_BYTES = 4 << 20
+
+
+def _attention_block_size(h, t, s, itemsize):
+    """(batch items, query rows) per block of [b, h, t, s] scores, at most
+    ATTENTION_BLOCK_BYTES: whole batch items while one item's scores fit,
+    else the query rows of one item at a time."""
+    item = max(h * t * s * itemsize, 1)
+    if item <= ATTENTION_BLOCK_BYTES:
+        return ATTENTION_BLOCK_BYTES // item, t
+    return 1, max(1, ATTENTION_BLOCK_BYTES // (h * s * itemsize))
+
+
+def attention(q, k, v, scale):
+    """Scaled dot-product attention softmax(scale * q @ kᵀ) @ v.
+
+    Args:
+        q: Tensor [b, h, t, d] queries.
+        k: Tensor [b, h, s, d] keys.
+        v: Tensor [b, h, s, dv] values.
+        scale: score multiplier, usually 1/sqrt(d).
+
+    Returns:
+        Tensor [b, h, t, dv].
+
+    Scores exist one block at a time (see `_attention_block_size`). The
+    forward pass keeps only the last block's probabilities and the backward
+    pass recomputes every other block's, so neither pass holds more than a
+    few blocks of scores. An input that fits one block gets the arithmetic
+    of the composed matmul, scale, softmax and matmul ops, bit for bit, in
+    both passes.
+    """
+    b, h, t, d = q.shape
+    s = k.shape[2]
+    if k.shape != (b, h, s, d) or v.ndim != 4 or v.shape[:3] != (b, h, s):
+        raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    dtype = q.dtype
+    scale = np.asarray(scale, dtype=dtype)
+    qd, vd = q.data, v.data
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    nb, rows = _attention_block_size(h, t, s, dtype.itemsize)
+    blocks = [(slice(b0, b0 + nb), slice(r0, r0 + rows))
+              for b0 in range(0, b, nb) for r0 in range(0, t, rows)]
+    block_shape = (min(nb, b), h, min(rows, t), s)
+
+    def probs(bs, rs, buf):
+        """Softmax probabilities of one block, computed in place in `buf`."""
+        qb = qd[bs, :, rs]
+        p = buf[:qb.shape[0], :, :qb.shape[2]]
+        np.matmul(qb, kt[bs], out=p)
+        p *= scale
+        return softmax_into(p, -1, p)
+
+    out_data = np.empty((b, h, t, vd.shape[3]), dtype=dtype)
+    buf = np.empty(block_shape, dtype=dtype)
+    last = None
+    for bs, rs in blocks:
+        last = probs(bs, rs, buf)
+        np.matmul(last, vd[bs], out=out_data[bs, :, rs])
+    out = Tensor(out_data)
+
+    def bwd(g):
+        dq = np.empty_like(qd)
+        dkt = np.zeros_like(kt)
+        dv = np.zeros_like(vd)
+        p_buf, dp_buf, tmp_buf = (np.empty(block_shape, dtype=dtype) for _ in range(3))
+        for i, (bs, rs) in enumerate(blocks):
+            # the forward pass kept the last block's probabilities
+            p = last if i == len(blocks) - 1 else probs(bs, rs, p_buf)
+            n, r = p.shape[0], p.shape[2]
+            gb = g[bs, :, rs]
+            dv[bs] += np.matmul(np.swapaxes(p, -1, -2), gb)
+            dp = np.matmul(gb, np.swapaxes(vd[bs], -1, -2), out=dp_buf[:n, :, :r])
+            # softmax backward, then the scale: dS = (dP - rowsum(dP * P)) * P * scale
+            tmp = np.multiply(dp, p, out=tmp_buf[:n, :, :r])
+            dp -= tmp.sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= scale
+            np.matmul(dp, np.swapaxes(kt[bs], -1, -2), out=dq[bs, :, rs])
+            dkt[bs] += np.matmul(np.swapaxes(qd[bs, :, rs], -1, -2), dp)
+        return dq, np.swapaxes(dkt, -1, -2), dv
+
+    return _record(out, (q, k, v), bwd)
 
 
 def log_softmax(a, axis=-1):

@@ -101,6 +101,46 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(None, overrides=["train.steps=0"])
 
+    def test_bool_fields_take_only_json_booleans(self):
+        assert load_config(None, overrides=["matcher.bypass_attention=true"]).matcher.bypass_attention
+        assert not load_config(None, overrides=["matcher.bypass_attention=false"]).matcher.bypass_attention
+        for text in ("False", "no", "0", "1", '"true"'):
+            with pytest.raises(ValueError, match="true or false"):
+                load_config(None, overrides=[f"matcher.bypass_attention={text}"])
+
+    def test_int_fields_reject_non_integral_values(self):
+        assert load_config(None, overrides=["train.steps=3.0"]).train.steps == 3
+        for text in ("2.7", "true", "abc", "[2]", "NaN", "Infinity"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                load_config(None, overrides=[f"train.steps={text}"])
+
+    def test_other_field_types_checked(self):
+        for override in ("train.lr=abc", "train.lr=false", "train.lr=NaN",
+                         "backbone.variant=5", "eval.thresholds=3",
+                         'eval.thresholds=["a"]'):
+            with pytest.raises(ValueError, match="must be"):
+                load_config(None, overrides=[override])
+        cfg = load_config(None, overrides=["train.lr=1", "eval.thresholds=[2, 4.5]"])
+        assert cfg.train.lr == 1.0 and isinstance(cfg.train.lr, float)
+        assert cfg.eval.thresholds == (2, 4.5)
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["matcher.d_model=30"], "multiple of 4"),
+        (["matcher.d_model=0"], "multiple of 4"),
+        (["matcher.n_heads=3"], "divisible by n_heads"),
+        (["matcher.n_heads=0"], "divisible by n_heads"),
+        (["backbone.fine_dim=6"], "fine attention"),
+        (["train.batch_size=0"], "batch_size"),
+    ])
+    def test_cross_field_constraints(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            load_config(None, overrides=overrides)
+
+    def test_cross_field_constraints_accept_consistent_values(self):
+        cfg = load_config(None, overrides=["matcher.d_model=48", "matcher.n_heads=3",
+                                           "backbone.fine_dim=2", "train.batch_size=1"])
+        assert cfg.matcher.d_model == 48 and cfg.backbone.fine_dim == 2
+
     def test_hash_stable(self):
         assert Config.default().hash() == Config.default().hash()
         other = load_config(None, overrides=["train.steps=9"])

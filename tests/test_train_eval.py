@@ -264,14 +264,3 @@ class TestFineTranslationBenchmark:
         fine_scale_median = float(np.median(errs)) / cfg.matcher.fine_stride
         assert fine_scale_median < 1.0
 
-
-class TestParallelEvaluation:
-    def test_worker_pool_identical_report(self, trained):
-        cfg, _, model, data = trained
-        from rotmatch.datasets import load_manifest
-        seqs = load_manifest(data).sequences()[:2]
-        r1 = evaluate_pairs(model, seqs, cfg, workers=1)
-        r2 = evaluate_pairs(model, seqs, cfg, workers=4)
-        assert r1.corner_errors == r2.corner_errors
-        assert r1.mma_fractions == r2.mma_fractions
-        assert r1.pair_ids == r2.pair_ids
