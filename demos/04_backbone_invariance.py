@@ -6,7 +6,7 @@ Run:  python3 demos/04_backbone_invariance.py
 """
 import numpy as np
 
-from rotmatch.backbone import BackboneConfig, build_backbone, extract
+from rotmatch.backbone import Backbone, BackboneConfig, extract
 from rotmatch.nn import param_count
 
 rng = np.random.default_rng(7)
@@ -16,8 +16,8 @@ img = ((img - img.min()) / (img.max() - img.min())).astype(np.float32)
 
 print(f"{'variant':10s} {'params':>9s} {'coarse dev':>12s} {'fine dev':>12s}")
 for variant in ("plain", "c4star", "c4", "c8star"):
-    model = build_backbone(BackboneConfig(variant=variant),
-                           rng=np.random.default_rng(0))
+    model = Backbone(BackboneConfig(variant=variant),
+                     rng=np.random.default_rng(0))
     pair = extract(model, img)
     pair_rot = extract(model, np.ascontiguousarray(np.rot90(img, 1, axes=(1, 2))))
 

@@ -2,7 +2,7 @@
 dense image matching, with homography geometry and a desk-scale benchmark
 harness."""
 
-from .backbone import Backbone, BackboneConfig, FeaturePair, build_backbone, extract
+from .backbone import Backbone, BackboneConfig, FeaturePair, extract
 from .config import Config, load_config
 from .geometry import (EstimationFailure, Homography, MetricsReport, auc,
                        corner_error, dlt, mma, projective_distance,

@@ -81,6 +81,12 @@ class ResBlock(Module):
         return T.relu(y + skip)
 
 
+# Pixels per coarse and per fine feature cell: the stem and two strided
+# blocks halve the resolution three times, the fine head sits after the stem.
+COARSE_STRIDE = 8
+FINE_STRIDE = 2
+
+
 class Backbone(Module):
     """Stem (1/2) -> residual blocks at strides 1, 2, 2 (1/8) -> readout;
     then nearest-neighbour upsampling merged with lateral skips back to 1/2
@@ -118,7 +124,7 @@ class Backbone(Module):
     def __call__(self, x):
         """x: [b, 3, h, w] with h, w divisible by 8 -> (coarse, fine) batches."""
         b, c, h, w = x.shape
-        if h % 8 or w % 8:
+        if h % COARSE_STRIDE or w % COARSE_STRIDE:
             raise ValueError(f"backbone requires spatial dims divisible by 8, got {h}x{w}")
         x1 = T.relu(self.stem_bn(self.stem(x)))   # 1/2
         f1 = self.block1(x1)                      # 1/2
@@ -131,10 +137,6 @@ class Backbone(Module):
         u1 = T.relu(self.smooth1_bn(self.smooth1(u1)))          # 1/2
         fine = self.fine_head(u1)
         return coarse, fine
-
-
-def build_backbone(config, rng=None, dtype=np.float32):
-    return Backbone(config, rng=rng, dtype=dtype)
 
 
 def extract(model, image):

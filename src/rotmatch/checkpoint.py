@@ -1,11 +1,13 @@
 """Binary checkpoint format shared by the backbone and matcher.
 
 Layout: 8-byte magic "RMCKPT01", an 8-byte little-endian manifest length,
-a UTF-8 JSON manifest listing parameter names, shapes, and scalar widths,
-then the raw little-endian buffers in manifest order.
+a UTF-8 JSON manifest listing parameter names, shapes, and scalar widths
+(plus, for a model, the text of its config), then the raw little-endian
+buffers in manifest order.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -15,8 +17,9 @@ MAGIC = b"RMCKPT01"
 _WIDTH_TO_DTYPE = {4: "<f4", 8: "<f8"}
 
 
-def save_checkpoint(path, state):
-    """Write an ordered {name: float array} mapping."""
+def save_checkpoint(path, state, config_text=None):
+    """Write an ordered {name: float array} mapping, with the config text of
+    the model it belongs to when given."""
     entries = []
     buffers = []
     for name, arr in state.items():
@@ -30,7 +33,10 @@ def save_checkpoint(path, state):
                              f"got {arr.dtype}")
         entries.append({"name": name, "shape": list(arr.shape), "width": width})
         buffers.append(arr.astype(_WIDTH_TO_DTYPE[width]).tobytes(order="C"))
-    manifest = json.dumps({"params": entries}).encode("utf-8")
+    manifest = {"params": entries}
+    if config_text is not None:
+        manifest["config"] = config_text
+    manifest = json.dumps(manifest).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(manifest)))
@@ -39,14 +45,31 @@ def save_checkpoint(path, state):
             f.write(buf)
 
 
+def _read_manifest(f, path):
+    magic = f.read(8)
+    if magic != MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    header = f.read(8)
+    if len(header) != 8:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    (mlen,) = struct.unpack("<Q", header)
+    room = os.fstat(f.fileno()).st_size - 16
+    if mlen > room:
+        raise ValueError(f"{path}: manifest length {mlen} exceeds the {room} bytes "
+                         f"after the header")
+    return json.loads(f.read(mlen).decode("utf-8"))
+
+
+def checkpoint_config(path):
+    """The config text stored in a checkpoint's manifest, or None."""
+    with open(path, "rb") as f:
+        return _read_manifest(f, path).get("config")
+
+
 def load_checkpoint(path):
     """Read back an ordered {name: ndarray} mapping."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        (mlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
+        manifest = _read_manifest(f, path)
         state = {}
         for entry in manifest["params"]:
             shape = tuple(entry["shape"])

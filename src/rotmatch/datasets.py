@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Homography, dlt
 from .groups import rotation_about_center
 from .imageio import read_ppm, write_ppm
-from .tensor import bilinear_sample, bilinear_warp
+from .tensor import bilinear_sample, bilinear_warp, map_pixel_centers
 
 
 @dataclass
@@ -285,8 +285,7 @@ class _Texture:
         self.blob_amp = rng.uniform(-1.5, 1.5, size=p.n_blobs)
         self.gains = rng.uniform(0.6, 1.0, size=3)
         # normalization constants fixed from the reference frame
-        ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-        ref = self._raw(xs + 0.5, ys + 0.5)
+        ref = self._raw(*map_pixel_centers(np.eye(3), h, w))
         self.lo = ref.min()
         self.hi = ref.max()
 
@@ -307,15 +306,8 @@ class _Texture:
 
     def render(self, hom, h, w):
         """[3, h, w] view through a homography (identity for the A-image)."""
-        ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-        xs += 0.5
-        ys += 0.5
-        if hom is not None:
-            inv = hom.inverse().matrix
-            den = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
-            xs, ys = ((inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]) / den,
-                      (inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]) / den)
-        base = self.sample(xs, ys)
+        inv = np.eye(3) if hom is None else hom.inverse().matrix
+        base = self.sample(*map_pixel_centers(inv, h, w))
         return np.stack([np.clip(base * g, 0, 1) for g in self.gains]).astype(np.float32)
 
 
@@ -451,13 +443,7 @@ def warp_consistency_psnr(image_a, image_b, hom, valid_mask=None, margin=3.0):
     """PSNR between image B and image A warped by the A->B homography, over
     the mutually visible interior (A-samples at least `margin` px inside)."""
     h, w = image_b.shape[1:]
-    inv = hom.inverse().matrix
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    xs += 0.5
-    ys += 0.5
-    den = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
-    sx = (inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]) / den
-    sy = (inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]) / den
+    sx, sy = map_pixel_centers(hom.inverse().matrix, h, w)
     ha, wa = image_a.shape[1:]
     mask = (sx >= margin) & (sx <= wa - margin) & (sy >= margin) & (sy <= ha - margin)
     if valid_mask is not None:

@@ -27,11 +27,10 @@ class EvalRun:
     config_hash: str
 
 
-def evaluate_pairs(model, sequences, config, dataset_id="dataset", seed_base=None):
+def evaluate_pairs(model, sequences, config):
     """Run the full matching + homography pipeline over sequence pairs."""
     ecfg = config.eval
     mcfg = config.matcher
-    seed_base = config.eval.ransac_seed if seed_base is None else seed_base
     report = MetricsReport(thresholds=tuple(float(t) for t in ecfg.thresholds))
     tasks = []
     for seq in sequences:
@@ -55,7 +54,7 @@ def evaluate_pairs(model, sequences, config, dataset_id="dataset", seed_base=Non
                     pa, pb, thresh_px=ecfg.ransac_thresh_px,
                     confidence=ecfg.ransac_confidence,
                     max_iter=ecfg.ransac_max_iter,
-                    seed=splitmix64(seed_base, pair_index))
+                    seed=splitmix64(ecfg.ransac_seed, pair_index))
             except (EstimationFailure, ValueError):
                 h_est = None
                 failed = True
@@ -81,8 +80,7 @@ def evaluate(model, dataset_root, modification, config, checkpoint_id="fresh"):
         seq = manifest.load(name)
         seq = apply_modification(seq, modification, splitmix64(manifest.seed, 9000 + idx))
         sequences.append(seq)
-    report = evaluate_pairs(model, sequences, config,
-                            dataset_id=os.path.basename(dataset_root))
+    report = evaluate_pairs(model, sequences, config)
     mod_tag = modification if modification not in (None, "") else "none"
     dataset_id = f"{os.path.basename(os.path.normpath(dataset_root))}-{mod_tag}"
     return EvalRun(checkpoint_id=checkpoint_id, dataset_id=dataset_id,
@@ -302,13 +300,12 @@ def _c8_45_layer_suite(rng):
 
 def backbone_invariance_deviation(model, angle, h=128, seed=0):
     """Interior relative deviation of coarse/fine features under an input
-    rotation (exact path for multiples of 90 degrees)."""
+    rotation (exact path for multiples of 90 degrees). Runs the model in
+    eval mode and leaves it unchanged."""
     from .backbone import extract
     from .groups import CyclicGroup, rotate_image
-    from .steerable import calibrate_norm_stats
 
     img = _smooth_disc_image(np.random.default_rng(seed), h)
-    calibrate_norm_stats(model, Tensor(img[None]))
     if angle % 90 == 0:
         grp = CyclicGroup(4)
         g = grp.element(int(angle // 90) % 4)
@@ -335,9 +332,12 @@ def equivariance_check(variant, model=None, trials=100, seed=0):
 
     Returns (passed, lines): per-test deviations against their thresholds.
     Failures are reported, not raised; the plain variant is expected to fail
-    the backbone invariance test (negative control).
+    the backbone invariance test (negative control). A given model is
+    measured as it is; without one, a fresh backbone is built and its norm
+    statistics calibrated first.
     """
     from .backbone import VARIANTS, Backbone, BackboneConfig
+    from .steerable import calibrate_norm_stats
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -365,6 +365,8 @@ def equivariance_check(variant, model=None, trials=100, seed=0):
 
     if model is None:
         model = Backbone(BackboneConfig(variant=variant), rng=np.random.default_rng(seed))
+        img = _smooth_disc_image(np.random.default_rng(seed), 128)
+        calibrate_norm_stats(model, Tensor(img[None]))
     backbone = model.backbone if hasattr(model, "backbone") else model
     devs = backbone_invariance_deviation(backbone, 90, seed=seed)
     if order >= 4:

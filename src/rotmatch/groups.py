@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, bilinear_sample
+from .tensor import Tensor, bilinear_sample, map_pixel_centers
 
 SUPPORTED_ORDERS = (1, 4, 8)
 
@@ -165,14 +165,8 @@ def rotate_image(img, elem, mode="auto", fill=0.0):
                       dtype=data.dtype)
     if mode != "bilinear":
         raise ValueError(f"unknown rotation mode {mode!r}")
-    fwd = rotation_about_center(angle, h, w)
-    inv = np.linalg.inv(fwd)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    xs += 0.5
-    ys += 0.5
-    sx = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
-    sy = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
-    out = bilinear_sample(data, sx, sy, fill=fill)
+    inv = np.linalg.inv(rotation_about_center(angle, h, w))
+    out = bilinear_sample(data, *map_pixel_centers(inv, h, w), fill=fill)
     return Tensor(out, dtype=data.dtype)
 
 
@@ -244,13 +238,8 @@ def _fit_residual_rotation(k, angle_degrees):
 
     # the identity conv(R x, psi) = R(conv(x, M psi)) defines M as the
     # kernel-space action of rotating by -angle on the image side
-    fwd = rotation_about_center(-angle_degrees, h, h)
-    inv = np.linalg.inv(fwd)
-    ys, xs = np.mgrid[0:h, 0:h].astype(np.float64)
-    xs += 0.5
-    ys += 0.5
-    sx = inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]
-    sy = inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]
+    sx, sy = map_pixel_centers(np.linalg.inv(rotation_about_center(-angle_degrees, h, h)),
+                               h, h)
 
     probes = [smooth_probe() for _ in range(n_probes)]
     sl = slice(margin, h - margin)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .backbone import COARSE_STRIDE, FINE_STRIDE
 from .nn import Linear, Module
 from .tensor import Tensor
 
@@ -21,8 +22,6 @@ class MatcherConfig:
     n_heads: int = 4
     fine_window: int = 5          # odd window size on the fine grid
     max_matches_eval: int = 1000
-    coarse_cell: int = 8          # pixels per coarse cell
-    fine_stride: int = 2          # pixels per fine cell
     bypass_attention: bool = False
 
     def validate(self):
@@ -204,22 +203,31 @@ class CoarseMatcher(Module):
         fb = l2_normalize(fb)
         return (fa @ T.transpose(fb, (1, 0))) * (1.0 / self.cfg.temperature)
 
-    def confidence(self, feat_a, feat_b):
-        """Full coarse pipeline for one pair of [d, hc, wc] maps -> (P, grids)."""
+    def scores(self, feat_a, feat_b):
+        """Similarity matrix [hc_a*wc_a, hc_b*wc_b] of one pair of [d, hc, wc]
+        coarse maps: positional encoding, attention stack, scaled cosine
+        similarity. Differentiable; training takes its log dual softmax."""
         if feat_a.shape[0] != feat_b.shape[0]:
             raise ValueError("coarse feature widths differ between images")
-        grids = (feat_a.shape[1:], feat_b.shape[1:])
         fa = _flatten_map(add_positional_encoding(feat_a))
         fb = _flatten_map(add_positional_encoding(feat_b))
         fa, fb = self.transform(_unsqueeze(fa), _unsqueeze(fb))
-        s = self.similarity(fa[0], fb[0])
-        return dual_softmax(s), grids
+        return self.similarity(fa[0], fb[0])
+
+    def confidence(self, feat_a, feat_b):
+        """Full coarse pipeline for one pair of [d, hc, wc] maps -> (P, grids)."""
+        grids = (feat_a.shape[1:], feat_b.shape[1:])
+        return dual_softmax(self.scores(feat_a, feat_b)), grids
 
     def match(self, feat_a, feat_b):
         conf, (ga, gb) = self.confidence(feat_a, feat_b)
-        idx_a, idx_b, c = mutual_matches(conf.data, self.cfg.theta_c)
+        return self.select(conf.data, ga, gb)
+
+    def select(self, conf, grid_a, grid_b):
+        """Mutual-max matches above theta_c of a confidence matrix."""
+        idx_a, idx_b, c = mutual_matches(conf, self.cfg.theta_c)
         return CoarseMatchSet(idx_a=idx_a, idx_b=idx_b, confidence=c,
-                              grid_a=ga, grid_b=gb)
+                              grid_a=grid_a, grid_b=grid_b)
 
 
 def _flatten_map(x):
@@ -245,16 +253,31 @@ class FineMatcher(Module):
         self.self_block = AttentionBlock(fine_dim, heads, rng, dtype)
         self.cross_block = AttentionBlock(fine_dim, heads, rng, dtype)
 
-    def window_centers(self, match_set):
-        """Fine-grid window centers for each coarse match; (n, 2) as (row, col)."""
-        per = self.cfg.coarse_cell // self.cfg.fine_stride
-        ha, wa = match_set.grid_a
-        hb, wb = match_set.grid_b
-        ra, ca = np.divmod(match_set.idx_a, wa)
-        rb, cb = np.divmod(match_set.idx_b, wb)
-        off = per // 2
-        return (np.stack([ra * per + off, ca * per + off], axis=1),
-                np.stack([rb * per + off, cb * per + off], axis=1))
+    def windows(self, match_set, fine_shape_a, fine_shape_b):
+        """The fine windows of a CoarseMatchSet that lie inside both fine maps
+        (no padding).
+
+        Returns (keep, centers_a, centers_b, points_a): a boolean mask over
+        the matches; for the kept ones, the (row, col) window centres on each
+        fine grid, and the A-cell centres in pixels as (n, 2) (x, y).
+        """
+        per = COARSE_STRIDE // FINE_STRIDE
+        r = self.cfg.fine_window // 2
+
+        def cells(idx, grid, fine_shape):
+            rows, cols = np.divmod(idx, grid[1])
+            centers = np.stack([rows * per + per // 2, cols * per + per // 2], axis=1)
+            inside = ((centers[:, 0] >= r) & (centers[:, 0] < fine_shape[0] - r)
+                      & (centers[:, 1] >= r) & (centers[:, 1] < fine_shape[1] - r))
+            return rows, cols, centers, inside
+
+        rows, cols, centers_a, inside_a = cells(match_set.idx_a, match_set.grid_a,
+                                                fine_shape_a)
+        _, _, centers_b, inside_b = cells(match_set.idx_b, match_set.grid_b, fine_shape_b)
+        keep = inside_a & inside_b
+        points_a = np.stack([(cols[keep] + 0.5) * COARSE_STRIDE,
+                             (rows[keep] + 0.5) * COARSE_STRIDE], axis=1)
+        return keep, centers_a[keep], centers_b[keep], points_a
 
     def offsets(self, fine_a, fine_b, centers_a, centers_b):
         """Differentiable subpixel offsets (fine cells) for in-bounds windows.
@@ -284,36 +307,20 @@ class FineMatcher(Module):
 
     def refine(self, fine_a, fine_b, match_set):
         """Subpixel matches for a CoarseMatchSet; drops windows that leave the
-        fine maps (no padding) and reports how many were dropped."""
-        cfg = self.cfg
-        w = cfg.fine_window
-        r = w // 2
-        centers_a, centers_b = self.window_centers(match_set)
-        ha, wa_ = fine_a.shape[1:]
-        hb, wb_ = fine_b.shape[1:]
-
-        def inside(c, h, ww):
-            return ((c[:, 0] >= r) & (c[:, 0] < h - r)
-                    & (c[:, 1] >= r) & (c[:, 1] < ww - r))
-
-        keep = inside(centers_a, ha, wa_) & inside(centers_b, hb, wb_)
+        fine maps (see `windows`) and reports how many were dropped."""
+        keep, centers_a, centers_b, points_a = self.windows(
+            match_set, fine_a.shape[1:], fine_b.shape[1:])
         dropped = int((~keep).sum())
         if not keep.any():
             return [], dropped
-        ca, cb = centers_a[keep], centers_b[keep]
-        dx, dy, _ = self.offsets(fine_a, fine_b, ca, cb)
-        cell = cfg.coarse_cell
-        stride = cfg.fine_stride
-        wa = match_set.grid_a[1]
-        wb = match_set.grid_b[1]
+        dx, dy, _ = self.offsets(fine_a, fine_b, centers_a, centers_b)
         out = []
-        for i, m_idx in enumerate(np.nonzero(keep)[0]):
-            ra_, ca_ = divmod(int(match_set.idx_a[m_idx]), wa)
-            point_a = ((ca_ + 0.5) * cell, (ra_ + 0.5) * cell)
-            bx = (cb[i, 1] + 0.5 + float(dx.data[i])) * stride
-            by = (cb[i, 0] + 0.5 + float(dy.data[i])) * stride
-            out.append(FineMatch(point_a=point_a, point_b=(bx, by),
-                                 confidence=float(match_set.confidence[m_idx])))
+        for pa, (row, col), x, y, conf in zip(points_a.tolist(), centers_b, dx.data,
+                                              dy.data, match_set.confidence[keep]):
+            point_b = ((col + 0.5 + float(x)) * FINE_STRIDE,
+                       (row + 0.5 + float(y)) * FINE_STRIDE)
+            out.append(FineMatch(point_a=tuple(pa), point_b=point_b,
+                                 confidence=float(conf)))
         return out, dropped
 
 

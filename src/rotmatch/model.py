@@ -1,14 +1,12 @@
 """Full matching model: backbone + coarse matcher + fine refiner, with
-checkpoint save/load (config text stored alongside the binary state).
+single-file checkpoint save/load (the config text sits in the manifest).
 """
-
-import os
 
 import numpy as np
 
 from .backbone import Backbone
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import Config, load_config
+from .checkpoint import checkpoint_config, load_checkpoint, save_checkpoint
+from .config import load_config
 from .matcher import CoarseMatcher, FineMatcher
 from .nn import Module
 from .tensor import Tensor
@@ -54,18 +52,15 @@ class MatcherModel(Module):
 
 
 def save_model(path, model):
-    """Write the checkpoint plus a sibling `<path>.config` with the config text."""
-    save_checkpoint(path, model.state_dict())
-    with open(str(path) + ".config", "w", encoding="utf-8") as f:
-        f.write(model.config.to_text())
+    """Write the model's state, with its config text in the manifest."""
+    save_checkpoint(path, model.state_dict(), model.config.to_text())
 
 
 def load_model(path, dtype=np.float32):
-    cfg_path = str(path) + ".config"
-    if os.path.exists(cfg_path):
-        config = load_config(cfg_path)
-    else:
-        config = Config.default()
-    model = MatcherModel(config, dtype=dtype)
+    """Rebuild a model from a checkpoint written by `save_model`."""
+    text = checkpoint_config(path)
+    if text is None:
+        raise ValueError(f"{path}: checkpoint has no config in its manifest")
+    model = MatcherModel(load_config(overrides=text.splitlines()), dtype=dtype)
     model.load_state_dict(load_checkpoint(path))
     return model

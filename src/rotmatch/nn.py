@@ -26,53 +26,50 @@ class Module:
         return self._training
 
     def train(self, flag=True):
-        self._training = flag
-        for child in self._children():
-            child.train(flag)
+        for m in self.modules():
+            m._training = flag
         return self
 
     def eval(self):
         return self.train(False)
 
-    def _children(self):
-        for _, value in vars(self).items():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    if isinstance(v, Module):
-                        yield v
+    def _walk(self, prefix=""):
+        """Depth-first walk of the module tree in attribute order.
 
-    def named_parameters(self, prefix=""):
+        Yields (dotted name, owner, value): this module itself (named by
+        `prefix` without its trailing dot), its buffers (ndarrays), then for
+        each public attribute in insertion order a parameter (a Tensor with
+        requires_grad) or the walk of a child module. Modules in a list or
+        tuple are named by their index.
+        """
+        yield prefix[:-1], self, self
+        for key, arr in self._buffers.items():
+            yield prefix + key, self, arr
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            full = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield full, value
+            if isinstance(value, Tensor):
+                if value.requires_grad:
+                    yield prefix + name, self, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(full + ".")
+                yield from value._walk(f"{prefix}{name}.")
             elif isinstance(value, (list, tuple)):
                 for i, v in enumerate(value):
                     if isinstance(v, Module):
-                        yield from v.named_parameters(f"{full}.{i}.")
+                        yield from v._walk(f"{prefix}{name}.{i}.")
+
+    def modules(self):
+        """This module and every module below it, depth first."""
+        return [v for _, _, v in self._walk() if isinstance(v, Module)]
+
+    def named_parameters(self):
+        return ((name, v) for name, _, v in self._walk() if isinstance(v, Tensor))
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix=""):
-        for name, arr in self._buffers.items():
-            yield f"{prefix}{name}", arr
-        for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
-            full = f"{prefix}{name}"
-            if isinstance(value, Module):
-                yield from value.named_buffers(full + ".")
-            elif isinstance(value, (list, tuple)):
-                for i, v in enumerate(value):
-                    if isinstance(v, Module):
-                        yield from v.named_buffers(f"{full}.{i}.")
+    def named_buffers(self):
+        return ((name, v) for name, _, v in self._walk() if isinstance(v, np.ndarray))
 
     def state_dict(self):
         state = {name: p.data for name, p in self.named_parameters()}
@@ -81,42 +78,24 @@ class Module:
         return state
 
     def load_state_dict(self, state):
-        own = dict(self.named_parameters())
         missing = []
-        for name, p in own.items():
+        for name, owner, value in self._walk():
+            if isinstance(value, Module):
+                continue
             if name not in state:
                 missing.append(name)
                 continue
-            arr = np.asarray(state[name], dtype=p.dtype)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"checkpoint {arr.shape} vs model {p.data.shape}")
-            p.data = arr.copy()
-        buf_owners = self._buffer_owners()
-        for name, (owner, key) in buf_owners.items():
-            if name in state:
-                owner._buffers[key] = np.asarray(state[name]).astype(
-                    owner._buffers[key].dtype).copy()
+            if isinstance(value, Tensor):
+                arr = np.asarray(state[name], dtype=value.dtype)
+                if arr.shape != value.data.shape:
+                    raise ValueError(f"shape mismatch for {name}: "
+                                     f"checkpoint {arr.shape} vs model {value.data.shape}")
+                value.data = arr.copy()
             else:
-                missing.append(name)
+                key = name.rpartition(".")[2]
+                owner._buffers[key] = np.asarray(state[name]).astype(value.dtype).copy()
         if missing:
             raise ValueError(f"checkpoint missing entries: {missing}")
-
-    def _buffer_owners(self, prefix=""):
-        owners = {}
-        for key in self._buffers:
-            owners[f"{prefix}{key}"] = (self, key)
-        for name, value in vars(self).items():
-            if name.startswith("_"):
-                continue
-            full = f"{prefix}{name}"
-            if isinstance(value, Module):
-                owners.update(value._buffer_owners(full + "."))
-            elif isinstance(value, (list, tuple)):
-                for i, v in enumerate(value):
-                    if isinstance(v, Module):
-                        owners.update(v._buffer_owners(f"{full}.{i}."))
-        return owners
 
 
 def param_count(module):

@@ -10,8 +10,10 @@ Three convolution kinds cover the backbone's needs:
     constraint forces one shared coefficient per (output channel, input
     field) pair; implemented as a group-sum followed by a 1x1 projection.
 
-Filter expansion is a fixed sparse linear map of the base weights (at most
-4 taps per expanded coefficient), so it is cheap and differentiable.
+Filter expansion is a fixed sparse linear map of the base weights (a row
+of the fitted kernel-rotation operator can be dense, so an expanded
+coefficient can draw on all k*k base taps), so it is cheap and
+differentiable.
 
 Downsampling layers (stride 2) apply a stride-1 convolution followed by 2x2
 average pooling: on even grids the stride-2 sampling lattice has no
@@ -26,8 +28,7 @@ from .groups import _kernel_rotation_taps
 from .nn import Module
 from .tensor import Tensor
 
-__all__ = ["EquivConv", "InnerBatchNorm", "lift_conv", "group_conv", "readout",
-           "inner_batch_norm"]
+__all__ = ["EquivConv", "InnerBatchNorm", "calibrate_norm_stats"]
 
 
 def _expansion_taps(in_type, out_type, k, kind, masked):
@@ -102,9 +103,9 @@ class EquivConv(Module):
             raise ValueError("EquivConv supports stride 1 or 2")
         rng = rng or np.random.default_rng(0)
         n = in_type.group.order
-        # kernels of groups with non-grid rotations are circularly masked so
-        # the rotated-filter family closes under the group
-        self._masked = (n not in (1, 2, 4))
+        # kernels of groups with non-grid rotations (C8) are circularly
+        # masked so the rotated-filter family closes under the group
+        self._masked = n > 4
 
         if in_type.is_all_trivial and out_type.is_all_regular:
             self.kind = "lift"
@@ -168,24 +169,6 @@ class EquivConv(Module):
         if self.stride == 2:
             y = T.avg_pool2d(y, 2)
         return y
-
-
-def lift_conv(x, layer):
-    if layer.kind != "lift":
-        raise ValueError("lift_conv requires a lift layer (trivial in, regular out)")
-    return layer(x)
-
-
-def group_conv(x, layer):
-    if layer.kind != "group":
-        raise ValueError("group_conv requires a group layer (regular in and out)")
-    return layer(x)
-
-
-def readout(x, layer):
-    if layer.kind != "readout":
-        raise ValueError("readout requires a readout layer (regular in, trivial out)")
-    return layer(x)
 
 
 class InnerBatchNorm(Module):
@@ -256,11 +239,6 @@ class InnerBatchNorm(Module):
         return xhat * self._per_channel(self.scale) + self._per_channel(self.shift)
 
 
-def inner_batch_norm(x, state, training):
-    state.train(training)
-    return state(x)
-
-
 def calibrate_norm_stats(model, x):
     """Set running statistics of every norm layer from one forward pass.
 
@@ -268,8 +246,8 @@ def calibrate_norm_stats(model, x):
     activation statistics, so eval-mode features of an untrained model can
     collapse through depth. A single full-momentum pass fixes the scales.
     """
-    norms = [m for m in _walk_modules(model) if isinstance(m, InnerBatchNorm)]
-    saved = [(m.momentum, m.training) for m in norms]
+    norms = [m for m in model.modules() if isinstance(m, InnerBatchNorm)]
+    saved = [m.momentum for m in norms]
     for m in norms:
         m.momentum = 1.0
     was_training = model.training
@@ -277,18 +255,8 @@ def calibrate_norm_stats(model, x):
     try:
         model(x)
     finally:
-        for m, (mom, tr) in zip(norms, saved):
+        for m, mom in zip(norms, saved):
             m.momentum = mom
         model.train(was_training)
     return model
 
-
-def _walk_modules(module):
-    yield module
-    for _, value in vars(module).items():
-        if isinstance(value, Module):
-            yield from _walk_modules(value)
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                if isinstance(v, Module):
-                    yield from _walk_modules(v)

@@ -637,6 +637,22 @@ def crop_windows(fmap, centers, w):
 # bilinear warping (not differentiable; resampling backend for the harness)
 
 
+def map_pixel_centers(m, h, w):
+    """Send the pixel centres of an h x w grid through a 3x3 map.
+
+    Pixel (r, c) sits at (x, y) = (c + 0.5, r + 0.5). Returns the mapped
+    (xs, ys), each float64 [h, w], after the projective divide; the
+    identity map returns the grid itself, exactly.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    xs += 0.5
+    ys += 0.5
+    den = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
+    return ((m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / den,
+            (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / den)
+
+
 def bilinear_sample(img, xs, ys, fill=0.0):
     """Sample [c, h, w] image data at continuous coords (pixel-center convention).
 
@@ -692,13 +708,7 @@ def bilinear_warp(image, hmap, out_h, out_w, fill=0.0):
         m = np.asarray(getattr(hmap, "matrix", hmap), dtype=np.float64)
     if abs(np.linalg.det(m)) < 1e-12:
         raise ValueError("bilinear_warp: singular map")
-    ys, xs = np.mgrid[0:out_h, 0:out_w].astype(np.float64)
-    xs += 0.5
-    ys += 0.5
-    denom = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
-    sx = (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / denom
-    sy = (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / denom
-    v = bilinear_sample(img, sx, sy, fill=fill)
+    v = bilinear_sample(img, *map_pixel_centers(m, out_h, out_w), fill=fill)
     return Tensor(v.astype(img.dtype if img.dtype in (np.float32, np.float64) else DEFAULT_DTYPE))
 
 

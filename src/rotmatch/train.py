@@ -12,8 +12,8 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import gt_coarse_assignment, load_manifest
-from .matcher import (add_positional_encoding, dual_softmax, log_dual_softmax,
-                      mutual_matches, _flatten_map)
+from .backbone import COARSE_STRIDE, FINE_STRIDE
+from .matcher import dual_softmax, log_dual_softmax
 from .model import MatcherModel, save_model
 from .tensor import GradientTape, Tensor, backward
 
@@ -57,65 +57,42 @@ class TrainResult:
 
 
 def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
-    """Loss terms for one training pair.
+    """Loss terms for one training pair, through the matcher's own coarse
+    scores, mutual-match selection and fine windows.
 
     Returns (coarse_nll or None, fine_sq_errors or None, stats dict).
     """
-    mcfg = model.config.matcher
-    cell = mcfg.coarse_cell
-    assign = gt_coarse_assignment(hom, h, w, cell=cell)
+    assign = gt_coarse_assignment(hom, h, w, cell=COARSE_STRIDE)
     rows = np.nonzero(assign >= 0)[0]
     stats = {"assigned": int(rows.size), "coarse_correct": 0, "fine_terms": 0}
     if rows.size == 0:
         return None, None, stats
 
-    fa = _flatten_map(add_positional_encoding(coarse_a))
-    fb = _flatten_map(add_positional_encoding(coarse_b))
-    fa, fb = model.coarse.transform(T.reshape(fa, (1,) + fa.shape),
-                                    T.reshape(fb, (1,) + fb.shape))
-    s = model.coarse.similarity(fa[0], fb[0])
-    log_p = log_dual_softmax(s)
-    nll = T.mean(T.gather_pairs(log_p, rows, assign[rows])) * -1.0
+    s = model.coarse.scores(coarse_a, coarse_b)
+    nll = T.mean(T.gather_pairs(log_dual_softmax(s), rows, assign[rows])) * -1.0
 
     # fine supervision on mutual matches that hit the ground-truth cell
-    conf = dual_softmax(s.data).data
-    ia, ib, _ = mutual_matches(conf, mcfg.theta_c)
-    hit = assign[ia] == ib
+    mset = model.coarse.select(dual_softmax(s).data, coarse_a.shape[1:], coarse_b.shape[1:])
+    hit = assign[mset.idx_a] == mset.idx_b
     stats["coarse_correct"] = int(hit.sum())
-    fine_sq = None
-    if hit.any():
-        ia, ib = ia[hit], ib[hit]
-        wc = w // cell
-        per = cell // mcfg.fine_stride
-        off = per // 2
-        ra, ca = np.divmod(ia, wc)
-        rb, cb = np.divmod(ib, wc)
-        centers_a = np.stack([ra * per + off, ca * per + off], axis=1)
-        centers_b = np.stack([rb * per + off, cb * per + off], axis=1)
-        r = mcfg.fine_window // 2
-        hf, wf = h // mcfg.fine_stride, w // mcfg.fine_stride
-
-        def inside(c):
-            return ((c[:, 0] >= r) & (c[:, 0] < hf - r)
-                    & (c[:, 1] >= r) & (c[:, 1] < wf - r))
-
-        keep = inside(centers_a) & inside(centers_b)
-        if keep.any():
-            ca_k, cb_k = centers_a[keep], centers_b[keep]
-            pa = np.stack([(ia[keep] % wc + 0.5) * cell,
-                           (ia[keep] // wc + 0.5) * cell], axis=1)
-            target = hom.apply(pa)
-            tx = target[:, 0] / mcfg.fine_stride - 0.5 - cb_k[:, 1]
-            ty = target[:, 1] / mcfg.fine_stride - 0.5 - cb_k[:, 0]
-            within = (np.abs(tx) <= r) & (np.abs(ty) <= r)
-            if within.any():
-                ca_k, cb_k = ca_k[within], cb_k[within]
-                dx, dy, _ = model.fine.offsets(fine_a, fine_b, ca_k, cb_k)
-                txt = Tensor(tx[within].astype(dx.dtype))
-                tyt = Tensor(ty[within].astype(dy.dtype))
-                fine_sq = (dx - txt) ** 2.0 + (dy - tyt) ** 2.0
-                stats["fine_terms"] = int(within.sum())
-    return nll, fine_sq, stats
+    keep, centers_a, centers_b, points_a = model.fine.windows(
+        mset, fine_a.shape[1:], fine_b.shape[1:])
+    hit = hit[keep]
+    if not hit.any():
+        return nll, None, stats
+    centers_a, centers_b = centers_a[hit], centers_b[hit]
+    target = hom.apply(points_a[hit])
+    tx = target[:, 0] / FINE_STRIDE - 0.5 - centers_b[:, 1]
+    ty = target[:, 1] / FINE_STRIDE - 0.5 - centers_b[:, 0]
+    r = model.config.matcher.fine_window // 2
+    within = (np.abs(tx) <= r) & (np.abs(ty) <= r)
+    if not within.any():
+        return nll, None, stats
+    dx, dy, _ = model.fine.offsets(fine_a, fine_b, centers_a[within], centers_b[within])
+    txt = Tensor(tx[within].astype(dx.dtype))
+    tyt = Tensor(ty[within].astype(dy.dtype))
+    stats["fine_terms"] = int(within.sum())
+    return nll, (dx - txt) ** 2.0 + (dy - tyt) ** 2.0, stats
 
 
 def batch_loss(model, batch, lambda_fine):
@@ -233,9 +210,7 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
                     kept.append((val, path))
                     kept.sort(key=lambda kv: -kv[0])
                     for _, old in kept[tcfg.keep_top:]:
-                        for suffix in ("", ".config"):
-                            if os.path.exists(old + suffix):
-                                os.remove(old + suffix)
+                        os.remove(old)
                     kept = kept[:tcfg.keep_top]
                     result.best_checkpoint = kept[0][1]
         final_path = os.path.join(out_dir, "model_final.rmckpt")

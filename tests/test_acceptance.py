@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rotmatch.backbone import BackboneConfig, build_backbone, extract
+from rotmatch.backbone import Backbone, BackboneConfig, extract
 from rotmatch.config import Config
 from rotmatch.datasets import (SynthParams, make_rotated,
                                make_synthetic_sequence, make_warped,
@@ -186,14 +186,14 @@ class TestCriterion2:
         t0 = time.time()
         rng = np.random.default_rng(1)
         img = smooth_disc_image(rng, 64, fmax=0.06)
-        fresh = build_backbone(BackboneConfig(variant="c4star"),
-                               rng=np.random.default_rng(2))
+        fresh = Backbone(BackboneConfig(variant="c4star"),
+                         rng=np.random.default_rng(2))
         calibrate_norm_stats(fresh, Tensor(img[None]))
         dev_fresh = self._dev(fresh, img)
         trained = experiment["models"]["c4star"][1].backbone
         dev_trained = self._dev(trained, img)
-        plain = build_backbone(BackboneConfig(variant="plain"),
-                               rng=np.random.default_rng(2))
+        plain = Backbone(BackboneConfig(variant="plain"),
+                         rng=np.random.default_rng(2))
         calibrate_norm_stats(plain, Tensor(img[None]))
         dev_plain = self._dev(plain, img)
         elapsed = time.time() - t0
@@ -245,8 +245,8 @@ class TestCriterion3:
                                          / np.sqrt((a ** 2).mean())))
         # backbone-level 90 degrees
         img = smooth_disc_image(np.random.default_rng(4), 64, fmax=0.06)
-        model = build_backbone(BackboneConfig(variant="c8star"),
-                               rng=np.random.default_rng(5))
+        model = Backbone(BackboneConfig(variant="c8star"),
+                         rng=np.random.default_rng(5))
         calibrate_norm_stats(model, Tensor(img[None]))
         pair = extract(model, img)
         rot = extract(model, np.ascontiguousarray(np.rot90(img, 1, axes=(1, 2))))
@@ -273,8 +273,8 @@ class TestCriterion4:
             ok &= exact
             details.append(f"N={n}: {param_count(s)}/{param_count(g)} "
                            f"{'==' if exact else '!='} {n}")
-        plain = build_backbone(BackboneConfig(variant="plain"))
-        c4s = build_backbone(BackboneConfig(variant="c4star"))
+        plain = Backbone(BackboneConfig(variant="plain"))
+        c4s = Backbone(BackboneConfig(variant="c4star"))
         ratio = param_count(plain) / param_count(c4s)
         ok &= ratio >= 3.6
         report(4, ok, f"group/standard parameter law {details}; full backbone "

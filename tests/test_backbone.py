@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotmatch.backbone import Backbone, BackboneConfig, build_backbone, extract
+from rotmatch.backbone import Backbone, BackboneConfig, extract
 from rotmatch.nn import param_count
 from rotmatch.tensor import Tensor
 
@@ -46,13 +46,13 @@ class TestShapes:
     @pytest.mark.parametrize("variant", ["plain", "c4star", "c4", "c8star"])
     def test_shape_contract(self, variant):
         cfg = BackboneConfig(variant=variant)
-        model = build_backbone(cfg, rng=np.random.default_rng(0))
+        model = Backbone(cfg, rng=np.random.default_rng(0))
         pair = extract(model, np.zeros((3, 64, 64), dtype=np.float32))
         assert pair.coarse.shape == (cfg.coarse_dim, 8, 8)
         assert pair.fine.shape == (cfg.fine_dim, 32, 32)
 
     def test_divisibility_error(self):
-        model = build_backbone(BackboneConfig(variant="plain"))
+        model = Backbone(BackboneConfig(variant="plain"))
         with pytest.raises(ValueError, match="divisible by 8"):
             extract(model, np.zeros((3, 60, 64), dtype=np.float32))
 
@@ -65,7 +65,7 @@ class TestParameterAccounting:
     def test_plain_hand_count_tiny_config(self):
         # base_width 8 -> stages (8, 12, 16); coarse 8, fine 4
         cfg = BackboneConfig(variant="plain", base_width=8, coarse_dim=8, fine_dim=4)
-        model = build_backbone(cfg)
+        model = Backbone(cfg)
         w1, w2, w3 = 8, 12, 16
         expected = 0
         expected += w1 * 3 * 9 + 2 * w1                      # stem conv + bn
@@ -83,8 +83,8 @@ class TestParameterAccounting:
         assert param_count(model) == expected
 
     def test_c4star_vs_plain_ratio(self):
-        plain = build_backbone(BackboneConfig(variant="plain"))
-        c4s = build_backbone(BackboneConfig(variant="c4star"))
+        plain = Backbone(BackboneConfig(variant="plain"))
+        c4s = Backbone(BackboneConfig(variant="c4star"))
         ratio = param_count(plain) / param_count(c4s)
         assert ratio >= 3.6
 
@@ -100,7 +100,7 @@ class TestParameterAccounting:
 class TestInvariance:
     def _rot_dev(self, variant, seed=0, h=64, base_width=16):
         cfg = BackboneConfig(variant=variant, base_width=base_width)
-        model = build_backbone(cfg, rng=np.random.default_rng(seed))
+        model = Backbone(cfg, rng=np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1)
         img = textured_image(rng, h, h)
         pair = extract(model, img)
@@ -142,7 +142,7 @@ class TestInvariance:
         rimg = rotate_image(img, g, mode="bilinear").data
 
         cfg = BackboneConfig(variant="c8star")
-        model = build_backbone(cfg, rng=np.random.default_rng(3))
+        model = Backbone(cfg, rng=np.random.default_rng(3))
         calibrate_norm_stats(model, Tensor(img[None]))
         model.eval()
         stem = model.stem(Tensor(img[None])).data[0]
@@ -158,8 +158,8 @@ class TestInvariance:
 
         # negative control at full depth: plain deviates several times more
         def full_depth_dev(variant, seed):
-            mdl = build_backbone(BackboneConfig(variant=variant),
-                                 rng=np.random.default_rng(seed))
+            mdl = Backbone(BackboneConfig(variant=variant),
+                           rng=np.random.default_rng(seed))
             calibrate_norm_stats(mdl, Tensor(img[None]))
             p0 = extract(mdl, img)
             p1 = extract(mdl, rimg)

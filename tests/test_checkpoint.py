@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from rotmatch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from rotmatch.checkpoint import MAGIC, checkpoint_config, load_checkpoint, save_checkpoint
 from rotmatch.config import Config, load_config
 from rotmatch.model import MatcherModel, load_model, save_model
 
@@ -39,6 +41,24 @@ class TestCheckpointFormat:
         data = path.read_bytes()
         assert data[-4:] == np.array([1.0], dtype="<f4").tobytes()
 
+    def test_config_text_round_trip(self, tmp_path):
+        path = tmp_path / "m.rmckpt"
+        save_checkpoint(path, {"x": np.zeros(2, dtype=np.float32)}, "train.steps = 3\n")
+        assert checkpoint_config(path) == "train.steps = 3\n"
+        assert list(load_checkpoint(path)) == ["x"]
+        save_checkpoint(path, {"x": np.zeros(2, dtype=np.float32)})
+        assert checkpoint_config(path) is None
+
+    def test_manifest_length_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "m.rmckpt"
+        save_checkpoint(path, {"x": np.zeros(2, dtype=np.float32)})
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + struct.pack("<Q", 1 << 40) + data[16:])
+        with pytest.raises(ValueError, match="manifest length"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="manifest length"):
+            checkpoint_config(path)
+
 
 class TestModelCheckpoint:
     def test_save_load_identical_behaviour(self, tmp_path):
@@ -68,12 +88,28 @@ class TestModelCheckpoint:
         model = MatcherModel(cfg)
         path = str(tmp_path / "model.rmckpt")
         save_model(path, model)
-        cfg2 = load_config(path + ".config")
+        cfg2 = load_config(overrides=checkpoint_config(path).splitlines())
         cfg2.backbone.base_width = 16
         other = MatcherModel(cfg2)
         from rotmatch.checkpoint import load_checkpoint as lc
         with pytest.raises(ValueError, match="shape mismatch"):
             other.load_state_dict(lc(path))
+
+    def test_single_file_carries_config(self, tmp_path):
+        cfg = Config.default()
+        cfg.backbone.base_width = 8
+        cfg.backbone.coarse_dim = 16
+        cfg.backbone.fine_dim = 8
+        path = str(tmp_path / "model.rmckpt")
+        save_model(path, MatcherModel(cfg))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.rmckpt"]
+        assert load_model(path).config.to_text() == cfg.to_text()
+
+    def test_checkpoint_without_config_rejected(self, tmp_path):
+        path = str(tmp_path / "model.rmckpt")
+        save_checkpoint(path, MatcherModel(Config.default()).state_dict())
+        with pytest.raises(ValueError, match="no config"):
+            load_model(path)
 
 
 class TestConfig:

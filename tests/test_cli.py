@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from rotmatch.checkpoint import checkpoint_config
 from rotmatch.cli import main
 
 
@@ -56,7 +57,9 @@ class TestTrainEvaluateMatch:
     def test_train_wrote_artifacts(self, small_run):
         root, data, ckpt = small_run
         assert os.path.exists(ckpt)
-        assert os.path.exists(ckpt + ".config")
+        assert not os.path.exists(ckpt + ".config")
+        text = checkpoint_config(ckpt)
+        assert "train.steps = 8" in text and "matcher.d_model = 16" in text
 
     def test_evaluate_writes_reports(self, small_run):
         root, data, ckpt = small_run

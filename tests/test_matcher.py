@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotmatch.backbone import FINE_STRIDE
 from rotmatch.matcher import (CoarseMatcher, CoarseMatchSet, FineMatcher,
                               MatcherConfig, add_positional_encoding,
                               dual_softmax, mutual_matches,
@@ -195,7 +196,7 @@ class TestFineMatcher:
                               confidence=np.array([0.9, 0.5, 0.4]),
                               grid_a=(4, 4), grid_b=(4, 4))
         matches, _ = fm.refine(fa, fb, mset)
-        bound = (cfg.fine_window / 2) * cfg.fine_stride
+        bound = (cfg.fine_window / 2) * FINE_STRIDE
         for m, ib in zip(matches, [5, 10, 6]):
             rb, cb = divmod(ib, 4)
             wx = (cb * 4 + 2 + 0.5) * 2

@@ -1,0 +1,72 @@
+import numpy as np
+import pytest
+
+from rotmatch.config import Config
+from rotmatch.model import MatcherModel
+from rotmatch.nn import Linear, Module
+from rotmatch.tensor import Tensor
+
+
+class Leaf(Module):
+    def __init__(self, tag):
+        super().__init__()
+        self.w = Tensor(np.full(2, tag), requires_grad=True)
+        self.register_buffer("stat", np.full(3, tag, dtype=np.float32))
+
+
+class Tree(Module):
+    """Tensors, modules and lists interleaved in attribute order."""
+
+    def __init__(self):
+        super().__init__()
+        self.register_buffer("count", np.zeros(1, dtype=np.float32))
+        self.first = Leaf(1.0)
+        self.gain = Tensor(np.ones(2), requires_grad=True)
+        self.layers = [Leaf(2.0), "not a module", Leaf(3.0)]
+        self.frozen = Tensor(np.ones(2))                 # no gradient: not a parameter
+        self.proj = Linear(2, 2, bias=False)
+        self._hidden = Leaf(9.0)                         # private: not walked
+
+
+class TestModuleWalker:
+    def test_parameter_order_follows_attributes_depth_first(self):
+        names = [n for n, _ in Tree().named_parameters()]
+        assert names == ["first.w", "gain", "layers.0.w", "layers.2.w", "proj.weight"]
+
+    def test_buffer_order_and_owners(self):
+        tree = Tree()
+        assert [n for n, _ in tree.named_buffers()] == [
+            "count", "first.stat", "layers.0.stat", "layers.2.stat"]
+        state = tree.state_dict()
+        state["layers.2.stat"] = np.full(3, 7.0)
+        state["count"] = np.array([5.0])
+        tree.load_state_dict(state)
+        assert np.array_equal(tree.layers[2]._buffers["stat"], np.full(3, 7.0))
+        assert tree.layers[2]._buffers["stat"].dtype == np.float32
+        assert np.array_equal(tree.layers[0]._buffers["stat"], np.full(3, 2.0))
+        assert tree._buffers["count"][0] == 5.0
+
+    def test_missing_entries_reported(self):
+        tree = Tree()
+        state = tree.state_dict()
+        del state["layers.0.w"], state["first.stat"]
+        with pytest.raises(ValueError, match="missing") as err:
+            tree.load_state_dict(state)
+        assert "'layers.0.w'" in str(err.value) and "'first.stat'" in str(err.value)
+
+    def test_train_reaches_every_module(self):
+        tree = Tree()
+        tree.eval()
+        assert not any(m.training for m in tree.modules())
+        assert len(tree.modules()) == 5      # tree, first, two list items, proj
+        assert tree._hidden.training          # private attributes are not walked
+        tree.train()
+        assert all(m.training for m in tree.modules())
+
+    def test_matcher_state_dict_order(self):
+        keys = list(MatcherModel(Config.default()).state_dict())
+        i = keys.index("coarse.blocks.0.mha.wo.bias")
+        assert keys[i + 1:i + 4] == ["coarse.blocks.0.ln1_gain", "coarse.blocks.0.ln1_bias",
+                                     "coarse.blocks.0.ff1.weight"]
+        assert keys[0] == "backbone.stem.base"
+        assert keys[-1] == "backbone.smooth1_bn.running_var"

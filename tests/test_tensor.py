@@ -83,6 +83,24 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
 
 
+class TestMapPixelCenters:
+    def test_identity_returns_exact_grid(self):
+        xs, ys = T.map_pixel_centers(np.eye(3), 5, 7)
+        assert xs.shape == ys.shape == (5, 7) and xs.dtype == np.float64
+        assert np.array_equal(xs, np.tile(np.arange(7) + 0.5, (5, 1)))
+        assert np.array_equal(ys, np.tile(np.arange(5)[:, None] + 0.5, (1, 7)))
+
+    def test_projective_map_agrees_with_homography(self):
+        from rotmatch.geometry import Homography
+        hom = Homography(np.array([[1.1, -0.2, 4.0], [0.15, 0.9, -3.0],
+                                   [2e-3, -1.5e-3, 1.2]]))
+        xs, ys = T.map_pixel_centers(hom.matrix, 9, 13)
+        gy, gx = np.mgrid[0:9, 0:13] + 0.5
+        ref = hom.apply(np.stack([gx.ravel(), gy.ravel()], axis=1))
+        assert np.allclose(xs.ravel(), ref[:, 0], rtol=1e-13, atol=1e-12)
+        assert np.allclose(ys.ravel(), ref[:, 1], rtol=1e-13, atol=1e-12)
+
+
 class TestBilinearWarp:
     def test_identity(self):
         rng = np.random.default_rng(3)

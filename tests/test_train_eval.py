@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from rotmatch.backbone import FINE_STRIDE
 from rotmatch.config import Config
 from rotmatch.datasets import (Sequence, _Texture, SynthParams, synth_dataset)
 from rotmatch.evaluate import (equivariance_check, evaluate, evaluate_pairs,
@@ -208,6 +209,16 @@ class TestEquivarianceCheck:
         assert not passed
         assert any("FAIL" in l and "negative control" in l for l in lines)
 
+    def test_given_model_measured_as_loaded(self):
+        model = MatcherModel(tiny_config(), rng=np.random.default_rng(2))
+        model.backbone.stem_bn._buffers["running_var"][:] = 3.0
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        equivariance_check("c4star", model=model, trials=2)
+        after = model.state_dict()
+        assert list(after) == list(before)
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+        assert model.training
+
     def test_c8star_reports_45deg(self):
         passed, lines = equivariance_check("c8star", trials=10)
         assert passed, "\n".join(lines)
@@ -261,6 +272,6 @@ class TestFineTranslationBenchmark:
         errs = [np.hypot(m.point_b[0] - (m.point_a[0] + 3.5),
                          m.point_b[1] - m.point_a[1]) for m in matches]
         # error measured at the fine stage's native 1/2 resolution
-        fine_scale_median = float(np.median(errs)) / cfg.matcher.fine_stride
+        fine_scale_median = float(np.median(errs)) / FINE_STRIDE
         assert fine_scale_median < 1.0
 
