@@ -38,8 +38,8 @@ print("loss:", float(loss.data), " grad shape:", grads[w].shape)
 
 # replaying backward accumulates: twice the gradient, exactly
 g1 = grads[w].copy()
-backward(loss, tape)
-print("replay doubles gradient:", np.allclose(w.grad, 2 * g1))
+g2 = backward(loss, tape)[w]
+print("replay doubles gradient:", np.allclose(g2, 2 * g1))
 
 # --- the verification harness ------------------------------------------------
 # central differences with eps=1e-5 agree with the analytic gradient to 1e-4

@@ -60,4 +60,4 @@ print(f"readout invariance (interior), max abs deviation: "
 bn = InnerBatchNorm(mid)
 y = bn(lift(x))
 print("norm output shape:", y.shape,
-      " units (one per field):", bn.n_units)
+      " fields (one statistic each):", bn.ft.fields)

@@ -33,7 +33,7 @@ print("  GT still consistent:",
       f"{warp_consistency_psnr(warped.image_a, warped.images_b[0], warped.homographies[0], valid_mask=warped.valid_masks[0]):.1f} dB")
 
 # --- coarse ground truth ---------------------------------------------------------
-assign = gt_coarse_assignment(seq.homographies[0], 64, 64, cell=8)
+assign = gt_coarse_assignment(seq.homographies[0], 64, 64)
 print(f"\ncoarse assignment: {np.sum(assign >= 0)}/{assign.size} cells visible")
 
 # --- metrics in isolation ---------------------------------------------------------

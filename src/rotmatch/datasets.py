@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backbone import COARSE_STRIDE
 from .geometry import Homography, dlt
 from .groups import rotation_about_center
 from .imageio import read_ppm, write_ppm
@@ -412,11 +413,12 @@ def load_manifest(root):
 # ground-truth assignments and photometric checks
 
 
-def gt_coarse_assignment(hom, h, w, cell=8):
-    """For each A-cell center warped by H, the flat index of the containing
-    B-cell, or -1 when it lands outside image B. Shape [h*w / cell^2]."""
+def gt_coarse_assignment(hom, h, w):
+    """Flat index of the coarse B-cell (COARSE_STRIDE pixels a side) holding each
+    A-cell center warped by H, or -1 outside image B. Shape [h*w / COARSE_STRIDE^2]."""
+    cell = COARSE_STRIDE
     if h % cell or w % cell:
-        raise ValueError(f"dims must be divisible by cell={cell}")
+        raise ValueError(f"dims must be divisible by the coarse stride {cell}")
     hc, wc = h // cell, w // cell
     ys, xs = np.mgrid[0:hc, 0:wc].astype(np.float64)
     centers = np.stack([(xs.ravel() + 0.5) * cell, (ys.ravel() + 0.5) * cell], axis=1)

@@ -78,57 +78,43 @@ def regular_permutation(n, k):
 
 @dataclass(frozen=True)
 class FieldType:
-    """Channel layout of a feature field: an ordered list of representations.
+    """Channel layout of a feature field: `fields` fields of one kind.
 
-    Each entry is ("trivial", width) or ("regular", n_fields); a regular
-    entry occupies n_fields * N consecutive channels, group-element-major.
+    A trivial field is one channel (width 1); a regular field is N channels
+    (width N), one per group element. Channel f * width + j is element j of
+    field f, so a [c, h, w] field views as [fields, width, h, w].
     """
 
     group: CyclicGroup
-    reps: tuple
+    kind: str
+    fields: int
 
     def __post_init__(self):
-        for kind, count in self.reps:
-            if kind not in ("trivial", "regular"):
-                raise ValueError(f"unknown representation kind {kind!r}")
-            if count < 1:
-                raise ValueError("representation entries must have positive size")
-        if self.channel_count < 1:
-            raise ValueError("FieldType must have at least one channel")
+        if self.kind not in ("trivial", "regular"):
+            raise ValueError(f"unknown representation kind {self.kind!r}")
+        if self.fields < 1:
+            raise ValueError("FieldType must have at least one field")
 
     @classmethod
-    def trivial(cls, group, width):
-        return cls(group, (("trivial", width),))
+    def trivial(cls, group, fields):
+        return cls(group, "trivial", fields)
 
     @classmethod
-    def regular(cls, group, n_fields):
-        return cls(group, (("regular", n_fields),))
+    def regular(cls, group, fields):
+        return cls(group, "regular", fields)
+
+    @property
+    def width(self):
+        return 1 if self.kind == "trivial" else self.group.order
 
     @property
     def channel_count(self):
-        n = self.group.order
-        return sum(w if kind == "trivial" else w * n for kind, w in self.reps)
+        return self.fields * self.width
 
-    @property
-    def is_all_trivial(self):
-        return all(kind == "trivial" for kind, _ in self.reps)
-
-    @property
-    def is_all_regular(self):
-        return all(kind == "regular" for kind, _ in self.reps)
-
-    @property
-    def n_regular_fields(self):
-        return sum(w for kind, w in self.reps if kind == "regular")
-
-    def blocks(self):
-        """Yield (kind, channel_start, channel_stop) per listed entry."""
-        n = self.group.order
-        c = 0
-        for kind, w in self.reps:
-            size = w if kind == "trivial" else w * n
-            yield kind, c, c + size
-            c += size
+    def field_of_channel(self):
+        """Index array mapping each channel to its field, for broadcasting
+        per-field values (biases, norm statistics) to channels."""
+        return np.repeat(np.arange(self.fields), self.width)
 
 
 def rotation_about_center(angle_degrees, h, w):
@@ -171,23 +157,14 @@ def rotate_image(img, elem, mode="auto", fill=0.0):
 
 
 def act_on_field(elem, field, ft, mode="auto", fill=0.0):
-    """Act on a feature field: rotate spatially, then mix channels per block.
-
-    Trivial blocks keep their channels; each regular field's channels are
-    permuted by the regular representation of the element.
-    """
+    """Act on a feature field: rotate spatially, then cyclically shift each
+    field's `width` channels by the element (a no-op for trivial fields)."""
     data = field.data if isinstance(field, Tensor) else np.asarray(field)
     if data.shape[0] != ft.channel_count:
         raise ValueError(f"field has {data.shape[0]} channels, type expects {ft.channel_count}")
     rotated = rotate_image(data, elem, mode=mode, fill=fill).data
-    n = ft.group.order
-    out = rotated.copy()
-    for kind, start, stop in ft.blocks():
-        if kind != "regular" or elem.k == 0:
-            continue
-        block = rotated[start:stop].reshape((stop - start) // n, n, *rotated.shape[1:])
-        out[start:stop] = np.roll(block, elem.k, axis=1).reshape(stop - start, *rotated.shape[1:])
-    return Tensor(out, dtype=data.dtype)
+    by_field = rotated.reshape(ft.fields, ft.width, *rotated.shape[1:])
+    return Tensor(np.roll(by_field, elem.k, axis=1).reshape(rotated.shape), dtype=data.dtype)
 
 
 def _permutation_matrix_90(k, q):

@@ -78,24 +78,27 @@ class Module:
         return state
 
     def load_state_dict(self, state):
+        """Copy every parameter and buffer from `state`. All entries are
+        checked for presence and shape before any is written, so a rejected
+        state leaves the model unchanged."""
+        entries = [(name, owner, value) for name, owner, value in self._walk()
+                   if not isinstance(value, Module)]
         missing = []
-        for name, owner, value in self._walk():
-            if isinstance(value, Module):
-                continue
+        for name, _, value in entries:
             if name not in state:
                 missing.append(name)
                 continue
+            if np.shape(state[name]) != value.shape:
+                raise ValueError(f"shape mismatch for {name}: "
+                                 f"checkpoint {np.shape(state[name])} vs model {value.shape}")
+        if missing:
+            raise ValueError(f"checkpoint missing entries: {missing}")
+        for name, owner, value in entries:
             if isinstance(value, Tensor):
-                arr = np.asarray(state[name], dtype=value.dtype)
-                if arr.shape != value.data.shape:
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"checkpoint {arr.shape} vs model {value.data.shape}")
-                value.data = arr.copy()
+                value.data = np.asarray(state[name], dtype=value.dtype).copy()
             else:
                 key = name.rpartition(".")[2]
                 owner._buffers[key] = np.asarray(state[name]).astype(value.dtype).copy()
-        if missing:
-            raise ValueError(f"checkpoint missing entries: {missing}")
 
 
 def param_count(module):

@@ -10,6 +10,9 @@ Three convolution kinds cover the backbone's needs:
     constraint forces one shared coefficient per (output channel, input
     field) pair; implemented as a group-sum followed by a 1x1 projection.
 
+Lift and group layers share one expansion table: a lift is the group case
+whose input fields have width 1, so there is no input-group axis to shift.
+
 Filter expansion is a fixed sparse linear map of the base weights (a row
 of the fitted kernel-rotation operator can be dense, so an expanded
 coefficient can draw on all k*k base taps), so it is cheap and
@@ -31,9 +34,13 @@ from .tensor import Tensor
 __all__ = ["EquivConv", "InnerBatchNorm", "calibrate_norm_stats"]
 
 
-def _expansion_taps(in_type, out_type, k, kind, masked):
-    """Tap tables mapping flat base weights to the expanded filter bank.
+def _expansion_taps(in_type, out_type, k, masked):
+    """Tap tables mapping flat base weights to the expanded filter bank of a
+    regular output type.
 
+    The base reads as [f_out, f_in, m, k, k] with m = in_type.width; the block
+    for output element g rotates kernels spatially by g and cyclically shifts
+    the m-axis by g. A lift (trivial input, m = 1) is the case with no shift.
     Returns (idx, w, bank_shape) where bank_shape is
     [out_channels, in_channels, k, k].
     """
@@ -48,45 +55,31 @@ def _expansion_taps(in_type, out_type, k, kind, masked):
         ridx[g, :i_g.shape[0]] = i_g
         rw[g, :w_g.shape[0]] = w_g
 
-    if kind == "lift":
-        f_out = out_type.n_regular_fields
-        c_in = in_type.channel_count
-        co = f_out * n
-        shape = (co, c_in, k, k)
-        out_pos = np.arange(co * c_in * kk)
-        rem, m = np.divmod(out_pos, kk)
-        rem, ci = np.divmod(rem, c_in)
-        fo, g = np.divmod(rem, n)
-        # base: [f_out, c_in, k, k]
-        idx = (fo * c_in + ci)[None] * kk + ridx[g, :, m].T
-        w = rw[g, :, m].T
-        return idx, w, shape
+    f_in, m = in_type.fields, in_type.width
+    co, ci = out_type.channel_count, in_type.channel_count
+    shape = (co, ci, k, k)
+    out_pos = np.arange(co * ci * kk)
+    rem, tap = np.divmod(out_pos, kk)
+    rem, ih = np.divmod(rem, m)      # input channel = (fi, ih)
+    rem, fi = np.divmod(rem, f_in)
+    fo, g = np.divmod(rem, n)
+    src_h = (ih - g) % m
+    idx = ((fo * f_in + fi) * m + src_h)[None] * kk + ridx[g, :, tap].T
+    w = rw[g, :, tap].T
+    return idx, w, shape
 
-    if kind == "group":
-        f_out = out_type.n_regular_fields
-        f_in = in_type.n_regular_fields
-        co, ci = f_out * n, f_in * n
-        shape = (co, ci, k, k)
-        out_pos = np.arange(co * ci * kk)
-        rem, m = np.divmod(out_pos, kk)
-        rem, ih = np.divmod(rem, n)      # input channel = (fi, h)
-        rem, fi = np.divmod(rem, f_in)
-        fo, g = np.divmod(rem, n)
-        src_h = (ih - g) % n
-        # base: [f_out, f_in, n, k, k]
-        idx = ((fo * f_in + fi) * n + src_h)[None] * kk + ridx[g, :, m].T
-        w = rw[g, :, m].T
-        return idx, w, shape
 
-    raise ValueError(f"unknown expansion kind {kind!r}")
+_KINDS = {("trivial", "regular"): "lift", ("regular", "regular"): "group",
+          ("regular", "trivial"): "readout"}
 
 
 class EquivConv(Module):
     """Equivariant convolution between feature fields (lift/group/readout).
 
     Stride 2 downsamples with a stride-1 convolution plus 2x2 average
-    pooling (see module docstring). Biases are shared per output field on
-    regular outputs and per channel on trivial (readout) outputs.
+    pooling (see module docstring). Biases are shared per output field: one
+    per regular field (its N channels), one per channel of a trivial output,
+    since a trivial field is one channel.
     """
 
     def __init__(self, in_type, out_type, kernel_size=3, stride=1, padding=None,
@@ -102,43 +95,29 @@ class EquivConv(Module):
         if stride not in (1, 2):
             raise ValueError("EquivConv supports stride 1 or 2")
         rng = rng or np.random.default_rng(0)
-        n = in_type.group.order
         # kernels of groups with non-grid rotations (C8) are circularly
         # masked so the rotated-filter family closes under the group
-        self._masked = n > 4
+        self._masked = in_type.group.order > 4
 
-        if in_type.is_all_trivial and out_type.is_all_regular:
-            self.kind = "lift"
-            f_out, c_in = out_type.n_regular_fields, in_type.channel_count
-            fan_in = c_in * kernel_size ** 2
-            base = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(f_out, c_in, kernel_size, kernel_size))
-        elif in_type.is_all_regular and out_type.is_all_regular:
-            self.kind = "group"
-            f_out, f_in = out_type.n_regular_fields, in_type.n_regular_fields
-            fan_in = f_in * n * kernel_size ** 2
-            base = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                              size=(f_out, f_in, n, kernel_size, kernel_size))
-        elif in_type.is_all_regular and out_type.is_all_trivial:
-            self.kind = "readout"
-            if kernel_size != 1:
-                raise ValueError("readout layers are restricted to 1x1 kernels")
-            c_out, f_in = out_type.channel_count, in_type.n_regular_fields
-            # group-sum upstream multiplies activations by ~n
-            base = rng.normal(0.0, np.sqrt(1.0 / (f_in * n)), size=(c_out, f_in, 1, 1))
-        else:
+        self.kind = _KINDS.get((in_type.kind, out_type.kind))
+        if self.kind is None:
             raise ValueError(f"unsupported field type combination: "
-                             f"{in_type.reps} -> {out_type.reps}")
+                             f"{in_type.kind} -> {out_type.kind}")
+        if self.kind == "readout" and kernel_size != 1:
+            raise ValueError("readout layers are restricted to 1x1 kernels")
+        fan_in = in_type.channel_count * kernel_size ** 2
+        # the readout's group-sum multiplies activations by ~n
+        gain = 1.0 if self.kind == "readout" else 2.0
+        group_axis = (in_type.width,) if self.kind == "group" else ()
+        base = rng.normal(0.0, np.sqrt(gain / fan_in),
+                          size=(out_type.fields, in_type.fields, *group_axis,
+                                kernel_size, kernel_size))
 
         self.base = Tensor(base, requires_grad=True, dtype=dtype)
-        if self.kind == "readout":
-            self._taps = None
-            nbias = out_type.channel_count
-        else:
-            idx, w, bank = _expansion_taps(in_type, out_type, kernel_size, self.kind,
-                                           self._masked)
-            self._taps = (idx, w, bank)
-            nbias = out_type.n_regular_fields
-        self.bias = Tensor(np.zeros(nbias), requires_grad=True, dtype=dtype) if bias else None
+        self._taps = None if self.kind == "readout" else \
+            _expansion_taps(in_type, out_type, kernel_size, self._masked)
+        self.bias = Tensor(np.zeros(out_type.fields), requires_grad=True,
+                           dtype=dtype) if bias else None
 
     def filter_bank(self):
         """Expanded filters [out_channels, in_channels, k, k] (differentiable)."""
@@ -152,31 +131,26 @@ class EquivConv(Module):
             raise ValueError(f"{self.kind} conv expects {self.in_type.channel_count} "
                              f"channels, got {x.shape[1]}")
         if self.kind == "readout":
-            n = self.in_type.group.order
-            b, c, h, w = x.shape
-            pooled = T.sum_(T.reshape(x, (b, c // n, n, h, w)), axis=2)
+            b, _, h, w = x.shape
+            ft = self.in_type
+            pooled = T.sum_(T.reshape(x, (b, ft.fields, ft.width, h, w)), axis=2)
             y = T.conv2d(pooled, self.base, stride=1, padding=0)
         else:
             y = T.conv2d(x, self.filter_bank(), stride=1, padding=self.padding)
         if self.bias is not None:
-            if self.kind == "readout":
-                bias_c = self.bias
-            else:
-                n = self.out_type.group.order
-                reps = np.repeat(np.arange(self.out_type.n_regular_fields), n)
-                bias_c = T.fixed_gather(self.bias, reps, (len(reps),))
-            y = y + T.reshape(bias_c, (1, len(bias_c.data), 1, 1))
+            bias_c = T.index(self.bias, self.out_type.field_of_channel())
+            y = y + T.reshape(bias_c, (1, self.out_type.channel_count, 1, 1))
         if self.stride == 2:
             y = T.avg_pool2d(y, 2)
         return y
 
 
 class InnerBatchNorm(Module):
-    """Batch normalization pooling statistics over each field's group axis.
+    """Batch normalization pooling statistics over each field's channels.
 
-    One (scale, bias, running mean, running var) tuple per trivial channel
-    and per regular field, so group-channel permutations of the input
-    permute the output identically.
+    One (scale, bias, running mean, running var) tuple per field: per
+    regular field (its N group channels) and per trivial channel, so
+    group-channel permutations of the input permute the output identically.
     """
 
     def __init__(self, ft, eps=1e-5, momentum=0.1, dtype=np.float32):
@@ -184,35 +158,18 @@ class InnerBatchNorm(Module):
         self.ft = ft
         self.eps = eps
         self.momentum = momentum
-        n = ft.group.order
-        unit_of_channel = []
-        u = 0
-        for kind, start, stop in ft.blocks():
-            if kind == "trivial":
-                for _ in range(stop - start):
-                    unit_of_channel.append(u)
-                    u += 1
-            else:
-                for f in range((stop - start) // n):
-                    unit_of_channel.extend([u] * n)
-                    u += 1
-        self._unit_of_channel = np.asarray(unit_of_channel, dtype=np.int64)
-        self.n_units = u
-        c = ft.channel_count
-        avg = np.zeros((u, c))
-        for ch, uu in enumerate(self._unit_of_channel):
-            avg[uu, ch] = 1.0
-        avg /= avg.sum(axis=1, keepdims=True)
-        self._avg = Tensor(avg, dtype=dtype)
-        self.scale = Tensor(np.ones(u), requires_grad=True, dtype=dtype)
-        self.shift = Tensor(np.zeros(u), requires_grad=True, dtype=dtype)
-        self.register_buffer("running_mean", np.zeros(u, dtype=dtype))
-        self.register_buffer("running_var", np.ones(u, dtype=dtype))
+        # [fields, channels] average applied to per-channel statistics; a mean
+        # straight over each field's channels rounds differently and moves losses
+        self._avg = Tensor(np.repeat(np.eye(ft.fields), ft.width, axis=1) / ft.width,
+                           dtype=dtype)
+        self.scale = Tensor(np.ones(ft.fields), requires_grad=True, dtype=dtype)
+        self.shift = Tensor(np.zeros(ft.fields), requires_grad=True, dtype=dtype)
+        self.register_buffer("running_mean", np.zeros(ft.fields, dtype=dtype))
+        self.register_buffer("running_var", np.ones(ft.fields, dtype=dtype))
 
-    def _per_channel(self, unit_values):
-        c = len(self._unit_of_channel)
-        return T.reshape(T.fixed_gather(unit_values, self._unit_of_channel, (c,)),
-                         (1, c, 1, 1))
+    def _per_channel(self, field_values):
+        return T.reshape(T.index(field_values, self.ft.field_of_channel()),
+                         (1, self.ft.channel_count, 1, 1))
 
     def __call__(self, x):
         if x.shape[1] != self.ft.channel_count:
@@ -222,8 +179,8 @@ class InnerBatchNorm(Module):
             c = self.ft.channel_count
             ch_mean = T.reshape(T.mean(x, axis=(0, 2, 3)), (c, 1))
             ch_sq = T.reshape(T.mean(x * x, axis=(0, 2, 3)), (c, 1))
-            mu = T.reshape(self._avg @ ch_mean, (self.n_units,))
-            var = T.reshape(self._avg @ ch_sq, (self.n_units,)) - mu * mu
+            mu = T.reshape(self._avg @ ch_mean, (self.ft.fields,))
+            var = T.reshape(self._avg @ ch_sq, (self.ft.fields,)) - mu * mu
             self._buffers["running_mean"] = (
                 (1 - self.momentum) * self._buffers["running_mean"]
                 + self.momentum * mu.data).astype(self._buffers["running_mean"].dtype)

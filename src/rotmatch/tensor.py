@@ -18,8 +18,8 @@ class GradientTape:
 
     Used as a context manager. Operations executed inside the context whose
     inputs require gradients append a node to the tape. `backward` replays
-    the record in reverse; gradients accumulate across repeated replays
-    until `reset_gradients` is called.
+    the record in reverse; gradients accumulate in `grads` across repeated
+    replays.
     """
 
     def __init__(self):
@@ -47,17 +47,11 @@ class GradientTape:
             if t not in self._watched:
                 self._watched.append(t)
 
-    def reset_gradients(self):
-        self.grads = {}
-        self.untracked = []
-        for t in self._watched:
-            t.grad = None
-
 
 class Tensor:
     """Dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_leaf")
+    __slots__ = ("data", "requires_grad", "_leaf")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -68,7 +62,6 @@ class Tensor:
         # note: ascontiguousarray would silently promote 0-d arrays to 1-d
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._leaf = True
 
     @property
@@ -300,33 +293,6 @@ def index(a, idx):
 def _has_advanced(idx):
     items = idx if isinstance(idx, tuple) else (idx,)
     return any(isinstance(i, (list, np.ndarray)) for i in items)
-
-
-def gather_pairs(a, rows, cols):
-    """Pick entries a[rows[i], cols[i]] from a 2-D tensor."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(a.data[rows, cols].copy())
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        return (ga,)
-
-    return _record(out, (a,), bwd)
-
-
-def fixed_gather(a, flat_idx, out_shape):
-    """out.flat[i] = a.flat[flat_idx[i]] for a fixed index table."""
-    flat_idx = np.asarray(flat_idx, dtype=np.int64).ravel()
-    out = Tensor(a.data.ravel()[flat_idx].reshape(out_shape))
-
-    def bwd(g):
-        ga = np.zeros(a.data.size, dtype=a.dtype)
-        np.add.at(ga, flat_idx, g.ravel())
-        return (ga.reshape(a.data.shape),)
-
-    return _record(out, (a,), bwd)
 
 
 def sparse_taps(a, tap_idx, tap_w, out_shape):
@@ -719,8 +685,8 @@ def bilinear_warp(image, hmap, out_h, out_w, fill=0.0):
 def backward(loss, tape):
     """Accumulate gradients of a scalar loss into the tape's parameter map.
 
-    Replays the tape's operation record in reverse. Gradients land on each
-    reached leaf parameter's `.grad` and in `tape.grads`; watched parameters
+    Replays the tape's operation record in reverse. Gradients of reached leaf
+    parameters accumulate in `tape.grads`; watched parameters
     that the loss does not reach get zero gradients and are listed in
     `tape.untracked`.
 
@@ -733,10 +699,6 @@ def backward(loss, tape):
     result = {}
 
     def _leaf_accum(t, g):
-        if t.grad is None:
-            t.grad = g.copy()
-        else:
-            t.grad = t.grad + g
         prev = tape.grads.get(t)
         tape.grads[t] = g.copy() if prev is None else prev + g
         result[t] = tape.grads[t]

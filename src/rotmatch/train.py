@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import gt_coarse_assignment, load_manifest
-from .backbone import COARSE_STRIDE, FINE_STRIDE
+from .backbone import FINE_STRIDE
 from .matcher import dual_softmax, log_dual_softmax
 from .model import MatcherModel, save_model
 from .tensor import GradientTape, Tensor, backward
@@ -62,14 +62,14 @@ def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
 
     Returns (coarse_nll or None, fine_sq_errors or None, stats dict).
     """
-    assign = gt_coarse_assignment(hom, h, w, cell=COARSE_STRIDE)
+    assign = gt_coarse_assignment(hom, h, w)
     rows = np.nonzero(assign >= 0)[0]
     stats = {"assigned": int(rows.size), "coarse_correct": 0, "fine_terms": 0}
     if rows.size == 0:
         return None, None, stats
 
     s = model.coarse.scores(coarse_a, coarse_b)
-    nll = T.mean(T.gather_pairs(log_dual_softmax(s), rows, assign[rows])) * -1.0
+    nll = T.mean(T.index(log_dual_softmax(s), (rows, assign[rows]))) * -1.0
 
     # fine supervision on mutual matches that hit the ground-truth cell
     mset = model.coarse.select(dual_softmax(s).data, coarse_a.shape[1:], coarse_b.shape[1:])

@@ -252,12 +252,12 @@ class TestApplyModification:
 
 class TestGtCoarseAssignment:
     def test_identity_diagonal(self):
-        assign = gt_coarse_assignment(Homography(np.eye(3)), 32, 32, cell=8)
+        assign = gt_coarse_assignment(Homography(np.eye(3)), 32, 32)
         assert np.array_equal(assign, np.arange(16))
 
     def test_translation_one_cell(self):
         h = Homography(np.array([[1.0, 0, 8], [0, 1, 0], [0, 0, 1]]))
-        assign = gt_coarse_assignment(h, 32, 32, cell=8)
+        assign = gt_coarse_assignment(h, 32, 32)
         grid = assign.reshape(4, 4)
         for r in range(4):
             for c in range(3):
@@ -266,7 +266,7 @@ class TestGtCoarseAssignment:
 
     def test_all_out_of_bounds(self):
         h = Homography(np.array([[1.0, 0, 1000], [0, 1, 0], [0, 0, 1]]))
-        assign = gt_coarse_assignment(h, 32, 32, cell=8)
+        assign = gt_coarse_assignment(h, 32, 32)
         assert (assign == -1).all()
 
 

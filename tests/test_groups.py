@@ -116,24 +116,24 @@ class TestActOnField:
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(4)
-        ft = FieldType(C4, (("trivial", 2), ("regular", 2)))
-        field = rng.random((ft.channel_count, 6, 6)).astype(np.float32)
         k = C4.element(3)
-        out = act_on_field(k.inverse(), act_on_field(k, field, ft, mode="exact"),
-                           ft, mode="exact")
-        assert np.array_equal(out.data, field)
+        for ft in (FieldType.trivial(C4, 2), FieldType.regular(C4, 2)):
+            field = rng.random((ft.channel_count, 6, 6)).astype(np.float32)
+            out = act_on_field(k.inverse(), act_on_field(k, field, ft, mode="exact"),
+                               ft, mode="exact")
+            assert np.array_equal(out.data, field)
 
     @given(st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_homomorphism_exact(self, k1, k2):
         rng = np.random.default_rng(5)
-        ft = FieldType(C4, (("regular", 1), ("trivial", 1)))
-        field = rng.random((ft.channel_count, 4, 4)).astype(np.float32)
-        lhs = act_on_field(C4.element(k1),
-                           act_on_field(C4.element(k2), field, ft, mode="exact").data,
-                           ft, mode="exact")
-        rhs = act_on_field(C4.element((k1 + k2) % 4), field, ft, mode="exact")
-        assert np.array_equal(lhs.data, rhs.data)
+        for ft in (FieldType.regular(C4, 2), FieldType.trivial(C4, 1)):
+            field = rng.random((ft.channel_count, 4, 4)).astype(np.float32)
+            lhs = act_on_field(C4.element(k1),
+                               act_on_field(C4.element(k2), field, ft, mode="exact").data,
+                               ft, mode="exact")
+            rhs = act_on_field(C4.element((k1 + k2) % 4), field, ft, mode="exact")
+            assert np.array_equal(lhs.data, rhs.data)
 
     def test_channel_mismatch(self):
         ft = FieldType.regular(C4, 1)
@@ -194,13 +194,17 @@ class TestRotateKernel:
 
 class TestFieldType:
     def test_channel_count(self):
-        ft = FieldType(C4, (("trivial", 3), ("regular", 2)))
-        assert ft.channel_count == 3 + 2 * 4
-
-    def test_blocks_layout(self):
-        ft = FieldType(C8, (("trivial", 2), ("regular", 1), ("trivial", 1)))
-        assert list(ft.blocks()) == [("trivial", 0, 2), ("regular", 2, 10), ("trivial", 10, 11)]
+        trivial = FieldType.trivial(C4, 3)
+        assert (trivial.width, trivial.channel_count) == (1, 3)
+        assert np.array_equal(trivial.field_of_channel(), [0, 1, 2])
+        regular = FieldType.regular(C8, 2)
+        assert (regular.width, regular.channel_count) == (8, 16)
+        assert np.array_equal(regular.field_of_channel(), [0] * 8 + [1] * 8)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            FieldType(C4, (("trivial", 0),))
+            FieldType.trivial(C4, 0)
+        with pytest.raises(ValueError):
+            FieldType.regular(C4, 0)
+        with pytest.raises(ValueError, match="kind"):
+            FieldType(C4, "irregular", 1)

