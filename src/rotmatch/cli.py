@@ -85,30 +85,27 @@ def _parse_size(text):
 
 
 def _cmd_generate(args):
-    from .datasets import (apply_modification, save_sequence, splitmix64,
-                           synth_dataset)
+    from .datasets import save_sequence, synth_dataset
     import json
 
     h, w = _parse_size(args.size)
     manifest = synth_dataset(args.out, args.scenes, h, w, seed=args.seed,
                              jitter=not args.no_jitter, split=args.split)
     print(f"wrote {args.scenes} scenes to {args.out}")
-    mods = []
+    tags = []
     if args.rotate_a is not None:
-        mods.append((f"r{args.rotate_a:g}", args.rotate_a, "rotate"))
+        tags.append(f"r{args.rotate_a:g}")
     if args.warp_s is not None:
-        mods.append((f"h{args.warp_s:g}", args.warp_s, "warp"))
-    for tag, _, _ in mods:
+        tags.append(f"h{args.warp_s:g}")
+    for tag in tags:
         out_dir = f"{args.out.rstrip('/')}-{tag}"
         os.makedirs(out_dir, exist_ok=True)
         scenes = []
-        for idx, name in enumerate(manifest.sequence_names()):
-            seq = manifest.load(name)
-            seq = apply_modification(seq, tag, splitmix64(manifest.seed, 9000 + idx))
+        for entry in manifest.scenes:
+            seq = manifest.load(entry["name"], tag)
             save_sequence(out_dir, seq)
             scenes.append({"name": seq.name, "split": seq.split,
-                           "seed": manifest.scenes[idx]["seed"],
-                           "jitter": manifest.scenes[idx]["jitter"],
+                           "seed": entry["seed"], "jitter": entry["jitter"],
                            "modification": tag})
         with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
             json.dump({"seed": manifest.seed, "h": h, "w": w, "scenes": scenes},
@@ -194,8 +191,8 @@ def _cmd_equivcheck(args):
     from .evaluate import equivariance_check
     from .model import load_model
 
-    model = load_model(args.checkpoint) if args.checkpoint else None
-    passed, lines = equivariance_check(args.variant, model=model,
+    backbone = load_model(args.checkpoint).backbone if args.checkpoint else None
+    passed, lines = equivariance_check(args.variant, backbone=backbone,
                                        trials=args.trials)
     text = "\n".join(lines) + "\n"
     print(text, end="")

@@ -1,5 +1,11 @@
 """Dotted-key configuration: UTF-8 text files with `section.key = value`
 lines mirroring the config dataclasses; every default printable.
+
+A value is a key only when something in the repository sets it to a value
+other than its default. Fixed values are module constants next to their
+one reader: `matcher.TEMPERATURE`, `matcher.FINE_WINDOW`,
+`evaluate.MAX_MATCHES`, `train.LAMBDA_FINE`, `train.KEEP_TOP`, and the
+defaults of `train.Adam` and `geometry.ransac_homography`.
 """
 
 import json
@@ -12,25 +18,15 @@ from .matcher import MatcherConfig
 
 @dataclass
 class TrainSettings:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = 1e-3          # at batch size 2; scaled linearly with batch_size
     batch_size: int = 2
     steps: int = 1500
     val_interval: int = 250
-    lambda_fine: float = 1.0
     seed: int = 0
-    keep_top: int = 5         # retained best checkpoints
-    lr_scale_with_batch: bool = True
 
 
 @dataclass
 class EvalSettings:
-    ransac_thresh_px: float = 3.0
-    ransac_confidence: float = 0.995
-    ransac_max_iter: int = 2000
-    ransac_seed: int = 0
     thresholds: tuple = (3.0, 5.0, 10.0)
 
 
@@ -125,17 +121,13 @@ def load_config(path=None, overrides=None):
 def _coerce(key, current, value):
     """`value` as the type of the field's default `current`, or ValueError.
 
-    Bool fields take only JSON true/false, int fields only integral numbers,
-    float fields only finite numbers, string fields strings and tuple fields
-    lists of numbers.
+    Int fields take only integral numbers, float fields only finite
+    numbers, string fields strings and tuple fields lists of numbers; JSON
+    true/false is never a number.
     """
     def number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-        return value
     if isinstance(current, int):
         if not number(value) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"{key} must be an integer, got {value!r}")

@@ -370,9 +370,13 @@ class DatasetManifest:
     def sequence_names(self):
         return [s["name"] for s in self.scenes]
 
-    def load(self, name):
-        entry = next(s for s in self.scenes if s["name"] == name)
-        return load_sequence(os.path.join(self.root, name), split=entry["split"])
+    def load(self, name, mod=None):
+        """Scene `name`, with the modification `mod` (see `apply_modification`)
+        applied under the scene's own seed, so every reader of a modified
+        scene sees the same images."""
+        idx = self.sequence_names().index(name)
+        seq = load_sequence(os.path.join(self.root, name), split=self.scenes[idx]["split"])
+        return apply_modification(seq, mod, splitmix64(self.seed, 9000 + idx))
 
     def sequences(self):
         return [self.load(n) for n in self.sequence_names()]

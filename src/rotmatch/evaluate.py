@@ -9,12 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import apply_modification, load_manifest, splitmix64
+from .datasets import load_manifest, splitmix64
 from .geometry import (EstimationFailure, MetricsReport, corner_error, mma,
                        ransac_homography)
 from .imageio import write_ppm
 from .matcher import write_match_file
 from .tensor import Tensor
+
+MAX_MATCHES = 1000    # most confident matches kept for scoring and drawing
 
 
 @dataclass
@@ -27,34 +29,32 @@ class EvalRun:
     config_hash: str
 
 
+def top_matches(matches):
+    """The MAX_MATCHES most confident matches, most confident first."""
+    return sorted(matches, key=lambda m: -m.confidence)[:MAX_MATCHES]
+
+
 def evaluate_pairs(model, sequences, config):
-    """Run the full matching + homography pipeline over sequence pairs."""
+    """Run the full matching + homography pipeline over sequence pairs.
+    `match_pair` runs each pair in eval mode; the model's mode is left as
+    it was."""
     ecfg = config.eval
-    mcfg = config.matcher
     report = MetricsReport(thresholds=tuple(float(t) for t in ecfg.thresholds))
     tasks = []
     for seq in sequences:
         for k, img_a, img_b, hom in seq.pairs():
             tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, img_b, hom))
 
-    if hasattr(model, "eval"):
-        model.eval()
-
     for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
-        mset, matches, _ = model.match_pair(img_a, img_b)
-        matches = sorted(matches, key=lambda m: -m.confidence)
-        matches = matches[:mcfg.max_matches_eval]
+        _, matches, _ = model.match_pair(img_a, img_b)
+        matches = top_matches(matches)
         h, w = img_a.shape[1:]
         failed = False
         if len(matches) >= 4:
             pa = np.array([m.point_a for m in matches])
             pb = np.array([m.point_b for m in matches])
             try:
-                h_est, _ = ransac_homography(
-                    pa, pb, thresh_px=ecfg.ransac_thresh_px,
-                    confidence=ecfg.ransac_confidence,
-                    max_iter=ecfg.ransac_max_iter,
-                    seed=splitmix64(ecfg.ransac_seed, pair_index))
+                h_est, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
             except (EstimationFailure, ValueError):
                 h_est = None
                 failed = True
@@ -75,11 +75,7 @@ def evaluate(model, dataset_root, modification, config, checkpoint_id="fresh"):
     (none | r<angle> | h<scale>); returns an EvalRun."""
     t0 = time.time()
     manifest = load_manifest(dataset_root)
-    sequences = []
-    for idx, name in enumerate(manifest.sequence_names()):
-        seq = manifest.load(name)
-        seq = apply_modification(seq, modification, splitmix64(manifest.seed, 9000 + idx))
-        sequences.append(seq)
+    sequences = [manifest.load(name, modification) for name in manifest.sequence_names()]
     report = evaluate_pairs(model, sequences, config)
     mod_tag = modification if modification not in (None, "") else "none"
     dataset_id = f"{os.path.basename(os.path.normpath(dataset_root))}-{mod_tag}"
@@ -207,9 +203,8 @@ def match_overlay(img_a, img_b, matches, h_gt=None, threshold_px=10.0):
 
 def match_images(model, img_a, img_b, h_gt=None, out_prefix="match"):
     """Match two images; writes `<prefix>.matches.txt` and `<prefix>.ppm`."""
-    mset, matches, dropped = model.match_pair(img_a, img_b)
-    matches = sorted(matches, key=lambda m: -m.confidence)
-    matches = matches[:model.config.matcher.max_matches_eval]
+    _, matches, _ = model.match_pair(img_a, img_b)
+    matches = top_matches(matches)
     write_match_file(out_prefix + ".matches.txt", matches)
     canvas = match_overlay(img_a, img_b, matches, h_gt=h_gt)
     write_ppm(out_prefix + ".ppm", canvas)
@@ -327,12 +322,12 @@ def backbone_invariance_deviation(model, angle, h=128, seed=0):
     return devs
 
 
-def equivariance_check(variant, model=None, trials=100, seed=0):
+def equivariance_check(variant, backbone=None, trials=100, seed=0):
     """Layer-level and backbone-level invariance suites for a variant.
 
     Returns (passed, lines): per-test deviations against their thresholds.
     Failures are reported, not raised; the plain variant is expected to fail
-    the backbone invariance test (negative control). A given model is
+    the backbone invariance test (negative control). A given backbone is
     measured as it is; without one, a fresh backbone is built and its norm
     statistics calibrated first.
     """
@@ -363,11 +358,10 @@ def equivariance_check(variant, model=None, trials=100, seed=0):
         for kind, dev in _c8_45_layer_suite(rng).items():
             check(f"C8 45deg layer equivariance ({kind}, smooth input)", dev, 0.1)
 
-    if model is None:
-        model = Backbone(BackboneConfig(variant=variant), rng=np.random.default_rng(seed))
+    if backbone is None:
+        backbone = Backbone(BackboneConfig(variant=variant), rng=np.random.default_rng(seed))
         img = _smooth_disc_image(np.random.default_rng(seed), 128)
-        calibrate_norm_stats(model, Tensor(img[None]))
-    backbone = model.backbone if hasattr(model, "backbone") else model
+        calibrate_norm_stats(backbone, Tensor(img[None]))
     devs = backbone_invariance_deviation(backbone, 90, seed=seed)
     if order >= 4:
         check("backbone 90deg invariance (coarse)", devs["coarse"], 1e-3)

@@ -52,10 +52,6 @@ class GroupElement:
     def angle_degrees(self):
         return 360.0 * self.k / self.group.order
 
-    @property
-    def is_grid_exact(self):
-        return self.angle_degrees % 90.0 == 0.0
-
     def inverse(self):
         return self.group.element(-self.k)
 

@@ -12,23 +12,20 @@ from .backbone import COARSE_STRIDE, FINE_STRIDE
 from .nn import Linear, Module
 from .tensor import Tensor
 
+TEMPERATURE = 0.1     # similarity softmax temperature
+FINE_WINDOW = 5       # odd window size on the fine grid
+
 
 @dataclass
 class MatcherConfig:
     theta_c: float = 0.2          # matching confidence threshold
-    temperature: float = 0.1      # similarity softmax temperature
     d_model: int = 64             # feature width after projection
     n_blocks: int = 4             # alternating self/cross blocks (2+2)
     n_heads: int = 4
-    fine_window: int = 5          # odd window size on the fine grid
-    max_matches_eval: int = 1000
-    bypass_attention: bool = False
 
     def validate(self):
         if not 0.0 <= self.theta_c <= 1.0:
             raise ValueError("theta_c must lie in [0, 1]")
-        if self.fine_window % 2 == 0:
-            raise ValueError("fine_window must be odd")
         if self.d_model < 4 or self.d_model % 4:
             raise ValueError(f"d_model must be a positive multiple of 4 (the positional "
                              f"encoding has four channel groups), got {self.d_model}")
@@ -186,8 +183,6 @@ class CoarseMatcher(Module):
     def transform(self, fa, fb):
         """Project and run the attention stack on [b, t, d] sequences.
         Cross blocks update both sides in parallel with shared weights."""
-        if self.cfg.bypass_attention:
-            return fa, fb
         fa = self.proj(fa)
         fb = self.proj(fb)
         for blk, kind in zip(self.blocks, self.kinds):
@@ -201,7 +196,7 @@ class CoarseMatcher(Module):
         """Temperature-scaled cosine similarity between [t, d] sequences."""
         fa = l2_normalize(fa)
         fb = l2_normalize(fb)
-        return (fa @ T.transpose(fb, (1, 0))) * (1.0 / self.cfg.temperature)
+        return (fa @ T.transpose(fb, (1, 0))) * (1.0 / TEMPERATURE)
 
     def scores(self, feat_a, feat_b):
         """Similarity matrix [hc_a*wc_a, hc_b*wc_b] of one pair of [d, hc, wc]
@@ -246,7 +241,6 @@ class FineMatcher(Module):
     def __init__(self, fine_dim, cfg, rng=None, dtype=np.float32):
         super().__init__()
         cfg.validate()
-        self.cfg = cfg
         self.fine_dim = fine_dim
         rng = rng or np.random.default_rng(0)
         heads = min(cfg.n_heads, fine_dim)
@@ -262,7 +256,7 @@ class FineMatcher(Module):
         fine grid, and the A-cell centres in pixels as (n, 2) (x, y).
         """
         per = COARSE_STRIDE // FINE_STRIDE
-        r = self.cfg.fine_window // 2
+        r = FINE_WINDOW // 2
 
         def cells(idx, grid, fine_shape):
             rows, cols = np.divmod(idx, grid[1])
@@ -285,7 +279,7 @@ class FineMatcher(Module):
         Returns (dx, dy, heat) Tensors over the given centers; callers must
         have filtered out-of-bounds windows already.
         """
-        w = self.cfg.fine_window
+        w = FINE_WINDOW
         wa = T.crop_windows(fine_a, centers_a, w)   # [n, C, w, w]
         wb = T.crop_windows(fine_b, centers_b, w)
         n = wa.shape[0]

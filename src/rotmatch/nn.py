@@ -79,8 +79,9 @@ class Module:
 
     def load_state_dict(self, state):
         """Copy every parameter and buffer from `state`. All entries are
-        checked for presence and shape before any is written, so a rejected
-        state leaves the model unchanged."""
+        checked for presence and shape, and `state` for entries the model
+        lacks, before any is written, so a rejected state leaves the model
+        unchanged."""
         entries = [(name, owner, value) for name, owner, value in self._walk()
                    if not isinstance(value, Module)]
         missing = []
@@ -93,6 +94,10 @@ class Module:
                                  f"checkpoint {np.shape(state[name])} vs model {value.shape}")
         if missing:
             raise ValueError(f"checkpoint missing entries: {missing}")
+        names = {name for name, _, _ in entries}
+        unknown = [name for name in state if name not in names]
+        if unknown:
+            raise ValueError(f"checkpoint has entries the model lacks: {unknown}")
         for name, owner, value in entries:
             if isinstance(value, Tensor):
                 value.data = np.asarray(state[name], dtype=value.dtype).copy()

@@ -120,7 +120,10 @@ class EquivConv(Module):
                            dtype=dtype) if bias else None
 
     def filter_bank(self):
-        """Expanded filters [out_channels, in_channels, k, k] (differentiable)."""
+        """Expanded filters [out_channels, in_channels, k, k] (differentiable).
+
+        A readout has no expansion: it returns its base, [out_fields,
+        in_fields, 1, 1], which convolves the group-summed input fields."""
         if self.kind == "readout":
             return self.base
         idx, w, shape = self._taps

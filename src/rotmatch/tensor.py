@@ -83,10 +83,6 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def detach(self):
-        t = Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-        return t
-
     def astype(self, dtype):
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad,
                       dtype=dtype)
@@ -671,7 +667,7 @@ def bilinear_warp(image, hmap, out_h, out_w, fill=0.0):
     img = image.data if isinstance(image, Tensor) else np.asarray(image)
     m = np.asarray(hmap, dtype=np.float64)
     if m.shape != (3, 3):
-        m = np.asarray(getattr(hmap, "matrix", hmap), dtype=np.float64)
+        raise ValueError(f"bilinear_warp: map must be 3x3, got shape {m.shape}")
     if abs(np.linalg.det(m)) < 1e-12:
         raise ValueError("bilinear_warp: singular map")
     v = bilinear_sample(img, *map_pixel_centers(m, out_h, out_w), fill=fill)

@@ -13,9 +13,12 @@ import numpy as np
 from . import tensor as T
 from .datasets import gt_coarse_assignment, load_manifest
 from .backbone import FINE_STRIDE
-from .matcher import dual_softmax, log_dual_softmax
+from .matcher import FINE_WINDOW, dual_softmax, log_dual_softmax
 from .model import MatcherModel, save_model
 from .tensor import GradientTape, Tensor, backward
+
+LAMBDA_FINE = 1.0     # weight of the fine loss against the coarse loss
+KEEP_TOP = 5          # best validation checkpoints kept on disk
 
 
 class Adam(object):
@@ -84,7 +87,7 @@ def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
     target = hom.apply(points_a[hit])
     tx = target[:, 0] / FINE_STRIDE - 0.5 - centers_b[:, 1]
     ty = target[:, 1] / FINE_STRIDE - 0.5 - centers_b[:, 0]
-    r = model.config.matcher.fine_window // 2
+    r = FINE_WINDOW // 2
     within = (np.abs(tx) <= r) & (np.abs(ty) <= r)
     if not within.any():
         return nll, None, stats
@@ -95,8 +98,12 @@ def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
     return nll, (dx - txt) ** 2.0 + (dy - tyt) ** 2.0, stats
 
 
-def batch_loss(model, batch, lambda_fine):
-    """Total loss for a list of (img_a, img_b, Homography) training pairs."""
+def batch_loss(model, batch):
+    """Total loss for a list of (img_a, img_b, Homography) training pairs.
+
+    Returns (total, coarse_loss, fine_loss or None, stats), or Nones and the
+    stats when no pair has a ground-truth assignment.
+    """
     imgs = np.stack([im for pair in batch for im in (pair[0], pair[1])])
     coarse, fine = model.backbone(Tensor(imgs.astype(np.float32)))
     nlls, fine_sqs = [], []
@@ -119,11 +126,10 @@ def batch_loss(model, batch, lambda_fine):
         coarse_loss = coarse_loss + extra
     coarse_loss = coarse_loss * (1.0 / len(nlls))
     fine_loss = None
-    if fine_sqs and lambda_fine != 0.0:
+    total = coarse_loss
+    if fine_sqs:
         fine_loss = T.mean(T.concat(fine_sqs, axis=0))
-        total = coarse_loss + fine_loss * lambda_fine
-    else:
-        total = coarse_loss
+        total = coarse_loss + fine_loss * LAMBDA_FINE
     return total, coarse_loss, fine_loss, stats
 
 
@@ -155,23 +161,23 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
 
     rng = np.random.default_rng(tcfg.seed)
     model = MatcherModel(config, rng=np.random.default_rng(tcfg.seed))
-    lr = tcfg.lr * (tcfg.batch_size / 2.0 if tcfg.lr_scale_with_batch else 1.0)
+    # linear learning-rate scaling from a reference batch of 2
+    lr = tcfg.lr * (tcfg.batch_size / 2.0)
     params = model.parameters()
-    opt = Adam(params, lr=lr, beta1=tcfg.beta1, beta2=tcfg.beta2, eps=tcfg.eps)
+    opt = Adam(params, lr=lr)
 
     result = TrainResult(out_dir=out_dir, steps_run=0)
     kept = []   # (metric, path)
     log_path = os.path.join(out_dir, "train_log.jsonl")
     log_f = open(log_path, "w", encoding="utf-8")
     t0 = time.time()
+    model.train(True)
     try:
         for step in range(1, tcfg.steps + 1):
             batch = sample_batch(rng, train_seqs, tcfg.batch_size)
-            model.train(True)
             with GradientTape() as tape:
                 tape.watch(*params)
-                total, coarse_l, fine_l, stats = batch_loss(model, batch,
-                                                            tcfg.lambda_fine)
+                total, coarse_l, fine_l, stats = batch_loss(model, batch)
                 if total is None:
                     result.skipped_batches += 1
                     continue
@@ -209,9 +215,9 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
                     save_model(path, model)
                     kept.append((val, path))
                     kept.sort(key=lambda kv: -kv[0])
-                    for _, old in kept[tcfg.keep_top:]:
+                    for _, old in kept[KEEP_TOP:]:
                         os.remove(old)
-                    kept = kept[:tcfg.keep_top]
+                    kept = kept[:KEEP_TOP]
                     result.best_checkpoint = kept[0][1]
         final_path = os.path.join(out_dir, "model_final.rmckpt")
         save_model(final_path, model)

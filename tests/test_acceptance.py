@@ -313,13 +313,13 @@ class TestCriterion5:
         for _ in range(60):
             with GradientTape() as tape:
                 tape.watch(*params)
-                total, _, fine_l, stats = batch_loss(model, batch, lambda_fine=1.0)
+                total, _, fine_l, stats = batch_loss(model, batch)
                 grads = backward(total, tape)
             opt.step(grads)
             fine_active = stats["fine_terms"]
 
         def loss_fn(_):
-            total, _, _, _ = batch_loss(model, batch, lambda_fine=1.0)
+            total, _, _, _ = batch_loss(model, batch)
             return total
 
         with GradientTape() as tape:

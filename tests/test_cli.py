@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from rotmatch.checkpoint import checkpoint_config
@@ -16,6 +17,22 @@ class TestGenerate:
         assert os.path.exists(os.path.join(out, "scene_0000", "1.ppm"))
         assert os.path.exists(os.path.join(out + "-r45", "scene_0000", "2.ppm"))
         assert os.path.exists(os.path.join(out + "-h0.3", "manifest.json"))
+
+    def test_generated_copy_matches_evaluated_sequences(self, tmp_path):
+        from rotmatch.datasets import load_manifest
+        out = str(tmp_path / "data")
+        main(["generate", "--out", out, "--scenes", "2", "--size", "32x32",
+              "--seed", "5", "--rotate-a", "45"])
+        base = load_manifest(out)
+        written = load_manifest(out + "-r45").sequences()
+        # `evaluate(model, out, "r45", ...)` scores exactly these sequences
+        evaluated = [base.load(name, "r45") for name in base.sequence_names()]
+        assert [s.name for s in written] == [s.name for s in evaluated]
+        for w, e in zip(written, evaluated):
+            for hw, he in zip(w.homographies, e.homographies):
+                assert np.array_equal(hw.matrix, he.matrix)
+            for iw, ie in zip([w.image_a] + w.images_b, [e.image_a] + e.images_b):
+                assert np.abs(iw - ie).max() <= 0.5 / 255 + 1e-6
 
     def test_generate_deterministic(self, tmp_path):
         a = str(tmp_path / "a")

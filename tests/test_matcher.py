@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rotmatch.backbone import FINE_STRIDE
-from rotmatch.matcher import (CoarseMatcher, CoarseMatchSet, FineMatcher,
-                              MatcherConfig, add_positional_encoding,
+from rotmatch.matcher import (FINE_WINDOW, CoarseMatcher, CoarseMatchSet,
+                              FineMatcher, MatcherConfig, add_positional_encoding,
                               dual_softmax, mutual_matches,
                               positional_encoding, read_match_file,
                               write_match_file)
@@ -97,8 +97,9 @@ class TestMutualMatches:
 class TestCoarseMatcher:
     def test_identity_assignment_attention_bypassed(self):
         rng = np.random.default_rng(6)
-        cfg = MatcherConfig(bypass_attention=True, theta_c=0.05)
+        cfg = MatcherConfig(theta_c=0.05)
         matcher = CoarseMatcher(coarse_dim=16, cfg=cfg, rng=rng)
+        matcher.transform = lambda fa, fb: (fa, fb)
         feat = Tensor(rng.normal(size=(16, 4, 4)).astype(np.float32))
         mset = matcher.match(feat, feat)
         # brute-force check: the Gram matrix of distinct unit vectors has its
@@ -116,8 +117,9 @@ class TestCoarseMatcher:
 
     def test_swap_transposes_matches_bypassed(self):
         rng = np.random.default_rng(7)
-        cfg = MatcherConfig(bypass_attention=True, theta_c=0.01)
+        cfg = MatcherConfig(theta_c=0.01)
         matcher = CoarseMatcher(coarse_dim=12, cfg=cfg, rng=rng)
+        matcher.transform = lambda fa, fb: (fa, fb)
         fa = Tensor(rng.normal(size=(12, 3, 4)).astype(np.float32))
         fb = Tensor(rng.normal(size=(12, 3, 4)).astype(np.float32))
         ab = matcher.match(fa, fb)
@@ -170,7 +172,7 @@ class TestFineMatcher:
         cfg, fm, fa, fb = self._setup(rng)
         centers = np.array([[5, 5], [8, 9], [10, 4]])
         dx, dy, _ = fm.offsets(fa, fb, centers, centers)
-        bound = (cfg.fine_window / 2) * 1.0
+        bound = (FINE_WINDOW / 2) * 1.0
         assert (np.abs(dx.data) <= bound).all() and (np.abs(dy.data) <= bound).all()
 
     def test_out_of_bounds_windows_dropped(self):
@@ -196,7 +198,7 @@ class TestFineMatcher:
                               confidence=np.array([0.9, 0.5, 0.4]),
                               grid_a=(4, 4), grid_b=(4, 4))
         matches, _ = fm.refine(fa, fb, mset)
-        bound = (cfg.fine_window / 2) * FINE_STRIDE
+        bound = (FINE_WINDOW / 2) * FINE_STRIDE
         for m, ib in zip(matches, [5, 10, 6]):
             rb, cb = divmod(ib, 4)
             wx = (cb * 4 + 2 + 0.5) * 2

@@ -54,16 +54,19 @@ class TestModuleWalker:
             tree.load_state_dict(state)
         assert "'layers.0.w'" in str(err.value) and "'first.stat'" in str(err.value)
 
-    @pytest.mark.parametrize("fault", ["shape", "missing"])
+    @pytest.mark.parametrize("fault", ["shape", "missing", "unknown"])
     def test_rejected_load_leaves_model_unchanged(self, fault):
         tree = Tree()
         before = {k: v.copy() for k, v in tree.state_dict().items()}
         state = {k: v + 1.0 for k, v in before.items()}
         if fault == "shape":
             state["proj.weight"] = np.zeros((3, 2))      # the last entry walked
-        else:
+        elif fault == "missing":
             del state["proj.weight"]
-        with pytest.raises(ValueError, match="shape mismatch" if fault == "shape" else "missing"):
+        else:
+            state["extra.w"] = np.zeros(2)
+        message = {"shape": "shape mismatch", "missing": "missing", "unknown": "lacks"}
+        with pytest.raises(ValueError, match=message[fault]):
             tree.load_state_dict(state)
         after = tree.state_dict()
         assert list(after) == list(before)

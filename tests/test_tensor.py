@@ -146,6 +146,18 @@ class TestBilinearWarp:
         with pytest.raises(ValueError, match="singular"):
             T.bilinear_warp(np.zeros((1, 4, 4)), np.zeros((3, 3)), 4, 4)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,), (1, 3, 3)])
+    def test_map_not_3x3_rejected(self, shape):
+        with pytest.raises(ValueError, match="3x3"):
+            T.bilinear_warp(np.zeros((1, 4, 4)), np.ones(shape), 4, 4)
+
+    def test_homography_accepted(self):
+        from rotmatch.geometry import Homography
+        img = np.random.default_rng(5).random((1, 4, 4))
+        m = np.array([[1, 0, -1], [0, 1, 0], [0, 0, 1]], dtype=np.float64)
+        assert np.array_equal(T.bilinear_warp(img, Homography(m), 4, 4).data,
+                              T.bilinear_warp(img, m, 4, 4).data)
+
 
 class TestBackward:
     def test_sum_grad(self):

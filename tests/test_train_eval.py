@@ -75,8 +75,9 @@ class TestTraining:
         fine_params = model.fine.parameters()
         with GradientTape() as tape:
             tape.watch(*model.parameters())
-            total, _, _, _ = batch_loss(model, batch, lambda_fine=0.0)
-            grads = backward(total, tape)
+            # the coarse loss is the total loss at a fine-loss weight of zero
+            _, coarse_loss, _, _ = batch_loss(model, batch)
+            grads = backward(coarse_loss, tape)
         for p in fine_params:
             assert np.allclose(grads[p], 0.0)
 
@@ -149,6 +150,14 @@ class TestEvaluate:
         assert "@3px" in table and "@10px" in table
         assert "c4star" in table
 
+    def test_training_mode_left_alone(self, tmp_path):
+        data = str(tmp_path / "d")
+        seqs = synth_dataset(data, 1, 32, 32, seed=13).sequences()
+        cfg = tiny_config()
+        model = MatcherModel(cfg, rng=np.random.default_rng(0))
+        evaluate_pairs(model, seqs, cfg)
+        assert all(m.training for m in model.modules())
+
     def test_failures_scored_not_fatal(self, tmp_path):
         # a model emitting no matches must yield inf corner error and MMA 0
         data = str(tmp_path / "d")
@@ -213,7 +222,7 @@ class TestEquivarianceCheck:
         model = MatcherModel(tiny_config(), rng=np.random.default_rng(2))
         model.backbone.stem_bn._buffers["running_var"][:] = 3.0
         before = {k: v.copy() for k, v in model.state_dict().items()}
-        equivariance_check("c4star", model=model, trials=2)
+        equivariance_check("c4star", backbone=model.backbone, trials=2)
         after = model.state_dict()
         assert list(after) == list(before)
         assert all(np.array_equal(after[k], before[k]) for k in before)
