@@ -139,11 +139,27 @@ class Backbone(Module):
         return coarse, fine
 
 
+def check_image(image, name="image"):
+    """Validate one [3, h, w] image: h and w positive and divisible by 8,
+    finite values in [0, 1]. Returns it as an ndarray."""
+    img = np.asarray(image)
+    if img.ndim != 3 or img.shape[0] != 3:
+        raise ValueError(f"{name} must have shape [3, h, w], got {list(img.shape)}")
+    h, w = img.shape[1:]
+    if h < COARSE_STRIDE or w < COARSE_STRIDE or h % COARSE_STRIDE or w % COARSE_STRIDE:
+        raise ValueError(f"{name} height and width must be positive and divisible by "
+                         f"{COARSE_STRIDE}, got {h}x{w}")
+    if not np.isfinite(img).all():
+        raise ValueError(f"{name} has non-finite values")
+    lo, hi = img.min(), img.max()
+    if lo < 0 or hi > 1:
+        raise ValueError(f"{name} values must lie in [0, 1], got [{lo:g}, {hi:g}]")
+    return img
+
+
 def extract(model, image):
     """Run the backbone on a single [3, h, w] image in eval mode."""
-    img = image.data if isinstance(image, Tensor) else np.asarray(image)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ValueError("extract expects a [3, h, w] image")
+    img = check_image(image.data if isinstance(image, Tensor) else image)
     was_training = model.training
     model.eval()
     try:

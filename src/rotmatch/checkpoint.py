@@ -1,6 +1,6 @@
 """Binary checkpoint format shared by the backbone and matcher.
 
-Layout: 8-byte magic "RMCKPT01", an 8-byte little-endian manifest length,
+Layout: 8-byte magic "RMCKPT02", an 8-byte little-endian manifest length,
 a UTF-8 JSON manifest listing parameter names, shapes, and scalar widths
 (plus, for a model, the text of its config), then the raw little-endian
 buffers in manifest order.
@@ -12,7 +12,10 @@ import struct
 
 import numpy as np
 
-MAGIC = b"RMCKPT01"
+MAGIC = b"RMCKPT02"
+# Magic of files whose coarse stage used softmax attention: same keys and
+# shapes as today's, but weights trained for another attention.
+_SOFTMAX_COARSE_MAGIC = b"RMCKPT01"
 
 _WIDTH_TO_DTYPE = {4: "<f4", 8: "<f8"}
 
@@ -47,6 +50,9 @@ def save_checkpoint(path, state, config_text=None):
 
 def _read_manifest(f, path):
     magic = f.read(8)
+    if magic == _SOFTMAX_COARSE_MAGIC:
+        raise ValueError(f"{path}: checkpoint written before linear coarse attention; "
+                         f"retrain")
     if magic != MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
     header = f.read(8)

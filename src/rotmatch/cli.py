@@ -191,7 +191,12 @@ def _cmd_equivcheck(args):
     from .evaluate import equivariance_check
     from .model import load_model
 
-    backbone = load_model(args.checkpoint).backbone if args.checkpoint else None
+    backbone = None
+    if args.checkpoint:
+        backbone = load_model(args.checkpoint).backbone
+        if backbone.config.variant != args.variant:
+            raise SystemExit(f"--variant {args.variant} does not match the checkpoint's "
+                             f"backbone.variant {backbone.config.variant}")
     passed, lines = equivariance_check(args.variant, backbone=backbone,
                                        trials=args.trials)
     text = "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Coarse-to-fine matcher: positional encoding, alternating self/cross
-attention, dual-softmax mutual-max coarse matching, and subpixel refinement
-of fine feature windows.
+linear attention, dual-softmax mutual-max coarse matching in row blocks, and
+subpixel refinement of fine feature windows under softmax attention.
 """
 
 from dataclasses import dataclass
@@ -100,17 +100,60 @@ def log_dual_softmax(scores):
     return T.log_softmax(s, axis=-1) + T.log_softmax(s, axis=-2)
 
 
-def mutual_matches(conf, theta_c):
-    """Mutual row/column argmax pairs with confidence above the threshold."""
-    conf = np.asarray(conf)
-    row_best = conf.argmax(axis=1)
-    col_best = conf.argmax(axis=0)
-    ia = np.arange(conf.shape[0])
-    mutual = col_best[row_best] == ia
-    keep = mutual & (conf[ia, row_best] > theta_c)
-    idx_a = ia[keep]
-    idx_b = row_best[keep]
-    return idx_a, idx_b, conf[idx_a, idx_b]
+def _score_blocks(a, b):
+    """Yield (rows, a[rows] @ bᵀ) over blocks of rows of the scores, each at
+    most `tensor.ATTENTION_BLOCK_BYTES`; the caller may overwrite a block."""
+    bt = np.ascontiguousarray(b.T)
+    n = max(1, T.ATTENTION_BLOCK_BYTES // (bt.shape[1] * bt.itemsize))
+    for i in range(0, a.shape[0], n):
+        rows = slice(i, min(i + n, a.shape[0]))
+        yield rows, a[rows] @ bt
+
+
+def _row_logsumexp(a, b):
+    """Row logsumexps of a @ bᵀ."""
+    out = np.empty(a.shape[0])
+    for rows, s in _score_blocks(a, b):
+        m = s.max(axis=1, keepdims=True)
+        s -= m
+        out[rows] = m[:, 0] + np.log(np.exp(s, out=s).sum(axis=1))
+    return out
+
+
+def _row_argmax(a, b, shift):
+    """argmax_j (2 s_ij - shift_j) of s = a @ bᵀ per row i, and 2 s_ij there."""
+    best = np.empty(a.shape[0], dtype=np.intp)
+    two_s = np.empty(a.shape[0])
+    for rows, s in _score_blocks(a, b):
+        s *= 2                            # exact, so two_s is 2 s_ij itself
+        best[rows] = np.argmax(s - shift, axis=1)
+        two_s[rows] = s[np.arange(s.shape[0]), best[rows]]
+    return best, two_s
+
+
+def mutual_matches(a, b, theta_c):
+    """Mutual row/column argmax pairs of the dual-softmax confidence of the
+    scores s = a @ bᵀ, with confidence above the threshold.
+
+    No t x s array exists: with r and c the row and column logsumexps of s,
+    conf_ij = exp(2 s_ij - r_i - c_j), so the row argmax of conf is
+    argmax_j (2 s_ij - c_j) and the column argmax is argmax_i (2 s_ij - r_i),
+    and each is a pass over blocks of rows of s or of sᵀ.
+
+    Args:
+        a: [t, d] array, b: [s, d] array.
+
+    Returns:
+        (idx_a, idx_b, confidence) of the kept pairs, in row order.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    r, c = _row_logsumexp(a, b), _row_logsumexp(b, a)
+    row_best, two_s = _row_argmax(a, b, c.astype(a.dtype))
+    col_best, _ = _row_argmax(b, a, r.astype(a.dtype))
+    ia = np.arange(a.shape[0])
+    conf = np.exp(two_s - r - c[row_best])
+    keep = (col_best[row_best] == ia) & (conf > theta_c)
+    return ia[keep], row_best[keep], conf[keep].astype(a.dtype)
 
 
 def l2_normalize(x, eps=1e-8):
@@ -118,16 +161,26 @@ def l2_normalize(x, eps=1e-8):
     return x * ((n2 + eps) ** -0.5)
 
 
+def softmax_attention(q, k, v):
+    """Scaled dot-product attention with scale 1/sqrt(head width)."""
+    return T.attention(q, k, v, 1.0 / np.sqrt(q.shape[-1]))
+
+
 class MultiHeadAttention(Module):
-    def __init__(self, d_model, n_heads, rng, dtype=np.float32):
+    """Multi-head attention through `attend(q, k, v)`, an op on
+    [b, heads, tokens, head width] Tensors: `softmax_attention` or
+    `tensor.linear_attention`."""
+
+    def __init__(self, d_model, n_heads, rng, attend, dtype=np.float32):
         super().__init__()
         if d_model % n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
+        self._attend = attend
         self.wq = Linear(d_model, d_model, rng=rng, dtype=dtype)
-        # a key bias shifts every score in a row by the same amount, which
-        # softmax cancels exactly; it would be a dead parameter
+        # no key bias: under softmax attention it shifts every score in a row
+        # by the same amount, which softmax cancels exactly
         self.wk = Linear(d_model, d_model, bias=False, rng=rng, dtype=dtype)
         self.wv = Linear(d_model, d_model, rng=rng, dtype=dtype)
         self.wo = Linear(d_model, d_model, rng=rng, dtype=dtype)
@@ -143,16 +196,17 @@ class MultiHeadAttention(Module):
         q = split(self.wq(x), t)
         k = split(self.wk(source), s)
         v = split(self.wv(source), s)
-        out = T.attention(q, k, v, 1.0 / np.sqrt(self.d_head))
+        out = self._attend(q, k, v)
         return self.wo(T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d)))
 
 
 class AttentionBlock(Module):
-    """Full attention + feed-forward, each with residual and layer norm."""
+    """Multi-head attention through `attend` + feed-forward, each with
+    residual and layer norm."""
 
-    def __init__(self, d_model, n_heads, rng, dtype=np.float32):
+    def __init__(self, d_model, n_heads, rng, attend, dtype=np.float32):
         super().__init__()
-        self.mha = MultiHeadAttention(d_model, n_heads, rng, dtype)
+        self.mha = MultiHeadAttention(d_model, n_heads, rng, attend, dtype)
         self.ln1_gain = Tensor(np.ones(d_model), requires_grad=True, dtype=dtype)
         self.ln1_bias = Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype)
         self.ff1 = Linear(d_model, 2 * d_model, rng=rng, dtype=dtype)
@@ -167,8 +221,8 @@ class AttentionBlock(Module):
 
 
 class CoarseMatcher(Module):
-    """Stage 2-3: projection, alternating self/cross attention, dual-softmax
-    matching with mutual-max selection."""
+    """Stage 2-3: projection, alternating self/cross linear attention,
+    dual-softmax matching with mutual-max selection."""
 
     def __init__(self, coarse_dim, cfg, rng=None, dtype=np.float32):
         super().__init__()
@@ -176,7 +230,8 @@ class CoarseMatcher(Module):
         self.cfg = cfg
         rng = rng or np.random.default_rng(0)
         self.proj = Linear(coarse_dim, cfg.d_model, rng=rng, dtype=dtype)
-        self.blocks = [AttentionBlock(cfg.d_model, cfg.n_heads, rng, dtype)
+        self.blocks = [AttentionBlock(cfg.d_model, cfg.n_heads, rng, T.linear_attention,
+                                      dtype)
                        for _ in range(cfg.n_blocks)]
         self.kinds = ["self" if i % 2 == 0 else "cross" for i in range(cfg.n_blocks)]
 
@@ -192,35 +247,36 @@ class CoarseMatcher(Module):
                 fa, fb = blk(fa, fb), blk(fb, fa)
         return fa, fb
 
-    def similarity(self, fa, fb):
-        """Temperature-scaled cosine similarity between [t, d] sequences."""
-        fa = l2_normalize(fa)
-        fb = l2_normalize(fb)
-        return (fa @ T.transpose(fb, (1, 0))) * (1.0 / TEMPERATURE)
-
-    def scores(self, feat_a, feat_b):
-        """Similarity matrix [hc_a*wc_a, hc_b*wc_b] of one pair of [d, hc, wc]
-        coarse maps: positional encoding, attention stack, scaled cosine
-        similarity. Differentiable; training takes its log dual softmax."""
+    def embed(self, feat_a, feat_b):
+        """Unit-length token features [hc_a*wc_a, d] and [hc_b*wc_b, d] of one
+        pair of [d, hc, wc] coarse maps: positional encoding, attention stack,
+        l2 normalization. Differentiable."""
         if feat_a.shape[0] != feat_b.shape[0]:
             raise ValueError("coarse feature widths differ between images")
         fa = _flatten_map(add_positional_encoding(feat_a))
         fb = _flatten_map(add_positional_encoding(feat_b))
         fa, fb = self.transform(_unsqueeze(fa), _unsqueeze(fb))
-        return self.similarity(fa[0], fb[0])
+        return l2_normalize(fa[0]), l2_normalize(fb[0])
+
+    def similarity(self, fa, fb):
+        """Temperature-scaled cosine similarity matrix of two `embed` outputs.
+        Differentiable; training takes its log dual softmax."""
+        return (fa @ T.transpose(fb, (1, 0))) * (1.0 / TEMPERATURE)
 
     def confidence(self, feat_a, feat_b):
-        """Full coarse pipeline for one pair of [d, hc, wc] maps -> (P, grids)."""
+        """Full coarse pipeline for one pair of [d, hc, wc] maps -> (P, grids),
+        with the whole t x s confidence matrix P."""
         grids = (feat_a.shape[1:], feat_b.shape[1:])
-        return dual_softmax(self.scores(feat_a, feat_b)), grids
+        return dual_softmax(self.similarity(*self.embed(feat_a, feat_b))), grids
 
     def match(self, feat_a, feat_b):
-        conf, (ga, gb) = self.confidence(feat_a, feat_b)
-        return self.select(conf.data, ga, gb)
+        fa, fb = self.embed(feat_a, feat_b)
+        return self.select(fa.data, fb.data, feat_a.shape[1:], feat_b.shape[1:])
 
-    def select(self, conf, grid_a, grid_b):
-        """Mutual-max matches above theta_c of a confidence matrix."""
-        idx_a, idx_b, c = mutual_matches(conf, self.cfg.theta_c)
+    def select(self, fa, fb, grid_a, grid_b):
+        """Mutual-max matches above theta_c of the confidence of two `embed`
+        outputs (arrays), without the t x s matrix."""
+        idx_a, idx_b, c = mutual_matches(fa * (1.0 / TEMPERATURE), fb, self.cfg.theta_c)
         return CoarseMatchSet(idx_a=idx_a, idx_b=idx_b, confidence=c,
                               grid_a=grid_a, grid_b=grid_b)
 
@@ -244,8 +300,8 @@ class FineMatcher(Module):
         self.fine_dim = fine_dim
         rng = rng or np.random.default_rng(0)
         heads = min(cfg.n_heads, fine_dim)
-        self.self_block = AttentionBlock(fine_dim, heads, rng, dtype)
-        self.cross_block = AttentionBlock(fine_dim, heads, rng, dtype)
+        self.self_block = AttentionBlock(fine_dim, heads, rng, softmax_attention, dtype)
+        self.cross_block = AttentionBlock(fine_dim, heads, rng, softmax_attention, dtype)
 
     def windows(self, match_set, fine_shape_a, fine_shape_b):
         """The fine windows of a CoarseMatchSet that lie inside both fine maps

@@ -4,7 +4,7 @@ single-file checkpoint save/load (the config text sits in the manifest).
 
 import numpy as np
 
-from .backbone import Backbone
+from .backbone import Backbone, check_image
 from .checkpoint import checkpoint_config, load_checkpoint, save_checkpoint
 from .config import load_config
 from .matcher import CoarseMatcher, FineMatcher
@@ -29,16 +29,21 @@ class MatcherModel(Module):
         return self.backbone(images)
 
     def match_pair(self, img_a, img_b):
-        """Match two [3, h, w] images in eval mode.
+        """Match two [3, h, w] images of one size, values in [0, 1], in eval
+        mode.
 
         Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows).
         """
+        img_a, img_b = check_image(img_a, "image A"), check_image(img_b, "image B")
+        if img_a.shape != img_b.shape:
+            raise ValueError(f"images differ in size: A is {img_a.shape[1]}x{img_a.shape[2]}, "
+                             f"B is {img_b.shape[1]}x{img_b.shape[2]}; match_pair needs "
+                             f"one size")
         was_training = self.training
         if was_training:
             self.eval()
         try:
-            imgs = np.stack([np.asarray(img_a, dtype=np.float32),
-                             np.asarray(img_b, dtype=np.float32)])
+            imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
             coarse, fine = self.backbone(Tensor(imgs))
             feat_ca = Tensor(coarse.data[0])
             feat_cb = Tensor(coarse.data[1])

@@ -352,9 +352,11 @@ def softmax(a, axis=-1):
     return _record(out, (a,), bwd)
 
 
-# Most bytes of scores `attention` holds at once. Blocks this size keep the
-# 480x640 coarse stage (4800 tokens, 368 MB of scores per head stack) in a
-# few MB, and every training-size input in one block.
+# Most bytes of scores `attention` holds at once; `matcher.mutual_matches`
+# sizes its row blocks from it too. `attention` splits one batch item into
+# runs of query rows only when that item's scores alone are larger. No shipped
+# caller gets there (the coarse stage uses `linear_attention`, the fine
+# windows have 25 tokens), but the path bounds the memory of the public op.
 ATTENTION_BLOCK_BYTES = 4 << 20
 
 
@@ -436,6 +438,52 @@ def attention(q, k, v, scale):
             np.matmul(dp, np.swapaxes(kt[bs], -1, -2), out=dq[bs, :, rs])
             dkt[bs] += np.matmul(np.swapaxes(qd[bs, :, rs], -1, -2), dp)
         return dq, np.swapaxes(dkt, -1, -2), dv
+
+    return _record(out, (q, k, v), bwd)
+
+
+def linear_attention(q, k, v):
+    """Linear attention (Katharopoulos et al., 2020) with the feature map
+    φ(x) = elu(x) + 1: out = (φq @ (φkᵀ v)) / (φq · Σ_s φk).
+
+    Args:
+        q: Tensor [b, h, t, d] queries.
+        k: Tensor [b, h, s, d] keys.
+        v: Tensor [b, h, s, dv] values.
+
+    Returns:
+        Tensor [b, h, t, dv]. Time and memory are linear in t and s: no
+        t x s array exists in either pass.
+    """
+    b, h, t, d = q.shape
+    s = k.shape[2]
+    if k.shape != (b, h, s, d) or v.ndim != 4 or v.shape[:3] != (b, h, s):
+        raise ValueError(f"linear_attention shape mismatch: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}")
+
+    def phi(x):
+        return np.where(x > 0, x + 1, np.exp(np.minimum(x, 0)))
+
+    qf, kf, vd = phi(q.data), phi(k.data), v.data
+    kv = np.matmul(np.swapaxes(kf, -1, -2), vd)          # [b, h, d, dv]
+    z = kf.sum(axis=2)[..., None]                        # [b, h, d, 1]
+    den = np.matmul(qf, z)                               # [b, h, t, 1], > 0
+    o = np.matmul(qf, kv) / den
+    out = Tensor(o)
+
+    def bwd(g):
+        dnum = g / den
+        dden = -(g * o).sum(axis=-1, keepdims=True) / den
+        dqf = np.matmul(dnum, np.swapaxes(kv, -1, -2)) + dden * np.swapaxes(z, -1, -2)
+        qft = np.swapaxes(qf, -1, -2)
+        dkv = np.matmul(qft, dnum)
+        dz = np.matmul(qft, dden)                        # [b, h, d, 1]
+        dkf = np.matmul(vd, np.swapaxes(dkv, -1, -2)) + np.swapaxes(dz, -1, -2)
+        dv = np.matmul(kf, dkv)
+        # φ'(x) is 1 for x > 0 and exp(x) = φ(x) elsewhere
+        dqf *= np.where(q.data > 0, 1, qf)
+        dkf *= np.where(k.data > 0, 1, kf)
+        return dqf, dkf, dv
 
     return _record(out, (q, k, v), bwd)
 

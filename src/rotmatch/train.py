@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import gt_coarse_assignment, load_manifest
 from .backbone import FINE_STRIDE
-from .matcher import FINE_WINDOW, dual_softmax, log_dual_softmax
+from .matcher import FINE_WINDOW, log_dual_softmax
 from .model import MatcherModel, save_model
 from .tensor import GradientTape, Tensor, backward
 
@@ -71,11 +71,12 @@ def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
     if rows.size == 0:
         return None, None, stats
 
-    s = model.coarse.scores(coarse_a, coarse_b)
+    fa, fb = model.coarse.embed(coarse_a, coarse_b)
+    s = model.coarse.similarity(fa, fb)
     nll = T.mean(T.index(log_dual_softmax(s), (rows, assign[rows]))) * -1.0
 
     # fine supervision on mutual matches that hit the ground-truth cell
-    mset = model.coarse.select(dual_softmax(s).data, coarse_a.shape[1:], coarse_b.shape[1:])
+    mset = model.coarse.select(fa.data, fb.data, coarse_a.shape[1:], coarse_b.shape[1:])
     hit = assign[mset.idx_a] == mset.idx_b
     stats["coarse_correct"] = int(hit.sum())
     keep, centers_a, centers_b, points_a = model.fine.windows(

@@ -61,6 +61,51 @@ class TestShapes:
             BackboneConfig(variant="c16").validate()
 
 
+def _tiny_matcher():
+    from rotmatch.config import Config
+    from rotmatch.model import MatcherModel
+    cfg = Config.default()
+    cfg.backbone.base_width = 8
+    cfg.backbone.coarse_dim = 16
+    cfg.backbone.fine_dim = 8
+    cfg.matcher.d_model = 16
+    cfg.matcher.n_blocks = 2
+    return MatcherModel(cfg, rng=np.random.default_rng(0))
+
+
+GRAY = np.full((3, 32, 32), 0.5, dtype=np.float32)
+
+
+class TestImageValidation:
+    BAD_IMAGES = [
+        (np.full((32, 32, 3), 0.5, np.float32),
+         r"must have shape \[3, h, w\], got \[32, 32, 3\]"),
+        (np.full((3, 28, 32), 0.5, np.float32),
+         "height and width must be positive and divisible by 8, got 28x32"),
+        (np.zeros((3, 0, 0), np.float32),
+         "height and width must be positive and divisible by 8, got 0x0"),
+        (np.full((3, 32, 32), np.nan, np.float32), "has non-finite values"),
+        (np.full((3, 32, 32), 128.0, np.float32),
+         r"values must lie in \[0, 1\], got \[128, 128\]"),
+    ]
+    IDS = ["channels_last", "not_divisible_by_8", "empty", "all_nan", "range_0_255"]
+
+    @pytest.mark.parametrize("image,message", BAD_IMAGES, ids=IDS)
+    def test_match_pair_rejects(self, image, message):
+        with pytest.raises(ValueError, match="image B " + message):
+            _tiny_matcher().match_pair(GRAY, image)
+
+    @pytest.mark.parametrize("image,message", BAD_IMAGES, ids=IDS)
+    def test_extract_rejects(self, image, message):
+        model = Backbone(BackboneConfig(variant="plain", base_width=8))
+        with pytest.raises(ValueError, match="image " + message):
+            extract(model, image)
+
+    def test_match_pair_rejects_different_sizes(self):
+        with pytest.raises(ValueError, match="images differ in size: A is 32x32, B is 32x40"):
+            _tiny_matcher().match_pair(GRAY, np.full((3, 32, 40), 0.5, np.float32))
+
+
 class TestParameterAccounting:
     def test_plain_hand_count_tiny_config(self):
         # base_width 8 -> stages (8, 12, 16); coarse 8, fine 4

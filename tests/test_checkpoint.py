@@ -27,7 +27,18 @@ class TestCheckpointFormat:
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.rmckpt"
         save_checkpoint(path, {"x": np.zeros(2, dtype=np.float32)})
-        assert path.read_bytes()[:8] == MAGIC == b"RMCKPT01"
+        assert path.read_bytes()[:8] == MAGIC == b"RMCKPT02"
+
+    def test_softmax_coarse_checkpoint_rejected(self, tmp_path):
+        # RMCKPT01 files hold the same keys and shapes, trained for softmax
+        # coarse attention
+        path = str(tmp_path / "old.rmckpt")
+        save_model(path, MatcherModel(Config.default()))
+        with open(path, "r+b") as f:
+            f.write(b"RMCKPT01")
+        for read in (load_checkpoint, checkpoint_config, load_model):
+            with pytest.raises(ValueError, match="before linear coarse attention; retrain"):
+                read(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rmckpt"

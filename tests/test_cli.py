@@ -137,3 +137,13 @@ class TestEquivcheckCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out
+
+    def test_variant_must_match_checkpoint(self, tmp_path):
+        from rotmatch.config import Config
+        from rotmatch.model import MatcherModel, save_model
+        cfg = Config.default()
+        cfg.backbone.base_width = 8
+        path = str(tmp_path / "c4star.rmckpt")
+        save_model(path, MatcherModel(cfg))
+        with pytest.raises(SystemExit, match="--variant plain .* backbone.variant c4star"):
+            main(["equivcheck", "--variant", "plain", "--checkpoint", path, "--trials", "2"])

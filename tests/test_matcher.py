@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from rotmatch import tensor as T
 
 from rotmatch.backbone import FINE_STRIDE
 from rotmatch.matcher import (FINE_WINDOW, CoarseMatcher, CoarseMatchSet,
@@ -40,13 +44,13 @@ class TestDualSoftmax:
         p = dual_softmax(s).data
         assert np.allclose(np.diag(p), 0.7760, atol=5e-4)
         assert np.allclose(p[0, 1], 0.0141, atol=5e-4)
-        ia, ib, conf = mutual_matches(p, 0.2)
+        ia, ib, conf = mutual_matches(s, np.eye(2), 0.2)
         assert list(zip(ia, ib)) == [(0, 0), (1, 1)]
+        assert np.allclose(conf, 0.7760, atol=5e-4)
 
     def test_theta_one_empty(self):
         rng = np.random.default_rng(0)
-        p = dual_softmax(rng.normal(size=(6, 6))).data
-        ia, _, _ = mutual_matches(p, 1.0)
+        ia, _, _ = mutual_matches(rng.normal(size=(6, 6)), np.eye(6), 1.0)
         assert len(ia) == 0
 
     def test_values_in_unit_interval(self):
@@ -79,19 +83,51 @@ class TestDualSoftmax:
 class TestMutualMatches:
     def test_symmetric_transpose(self):
         rng = np.random.default_rng(4)
-        p = dual_softmax(rng.normal(size=(6, 6)) * 2).data
-        ia, ib, ca = mutual_matches(p, 0.01)
-        jb, ja, cb = mutual_matches(p.T, 0.01)
+        s = rng.normal(size=(6, 6)) * 2
+        ia, ib, ca = mutual_matches(s, np.eye(6), 0.01)
+        jb, ja, cb = mutual_matches(s.T, np.eye(6), 0.01)
         assert set(zip(ia, ib)) == set(zip(ja, jb))
         assert np.allclose(np.sort(ca), np.sort(cb))
 
     def test_count_bounded_by_cells(self):
         rng = np.random.default_rng(5)
-        p = dual_softmax(rng.normal(size=(9, 5))).data
-        ia, ib, _ = mutual_matches(p, 0.0)
+        ia, ib, _ = mutual_matches(rng.normal(size=(9, 5)), np.eye(5), 0.0)
         assert len(ia) <= 5
         assert len(np.unique(ia)) == len(ia)
         assert len(np.unique(ib)) == len(ib)
+
+    @pytest.mark.parametrize("rows", [53, 7, 1])
+    def test_blocked_equals_dense_reference(self, rows, monkeypatch):
+        # 53 rows fit one block; 7 rows per block leave a last block of 4
+        rng = np.random.default_rng(14)
+        t, s, d = 53, 41, 8
+        b = rng.normal(size=(s, d))
+        a = 4.0 * np.concatenate([b[rng.permutation(s)[:30]] + 0.4 * rng.normal(size=(30, d)),
+                                  rng.normal(size=(t - 30, d))])
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", rows * s * 8)
+        conf = dual_softmax(a @ b.T).data
+        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
+        mutual = col_best[row_best] == np.arange(t)
+        for theta in (0.0, 0.2, 0.5):
+            ref_a = np.nonzero(mutual & (conf[np.arange(t), row_best] > theta))[0]
+            ia, ib, c = mutual_matches(a, b, theta)
+            assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
+            assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=0, atol=1e-12)
+        assert len(mutual_matches(a, b, 0.2)[0]) >= 10
+
+    def test_large_match_holds_no_full_matrix(self):
+        # 4800 x 4800 tokens (480x640 images); one t x s float32 matrix is 92 MB
+        rng = np.random.default_rng(15)
+        matcher = CoarseMatcher(coarse_dim=32, cfg=MatcherConfig(), rng=rng)
+        fa = Tensor(rng.normal(size=(32, 60, 80)).astype(np.float32))
+        fb = Tensor(rng.normal(size=(32, 60, 80)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            matcher.match(fa, fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4800 * 4800 * 4 / 4
 
 
 class TestCoarseMatcher:

@@ -270,6 +270,8 @@ def _fd_cases():
         "attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 3)],
                       lambda p: T.sum_(T.attention(p[0], p[1], p[2], 0.7) ** 2.0)),
     }
+    cases["linear_attention"] = ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 2)],
+                                 lambda p: T.sum_(T.linear_attention(p[0], p[1], p[2]) ** 2.0))
     cases["attention_blocks"] = cases["attention"]
     return cases
 
