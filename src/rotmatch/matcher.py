@@ -260,8 +260,9 @@ class CoarseMatcher(Module):
 
     def similarity(self, fa, fb):
         """Temperature-scaled cosine similarity matrix of two `embed` outputs.
-        Differentiable; training takes its log dual softmax."""
-        return (fa @ T.transpose(fb, (1, 0))) * (1.0 / TEMPERATURE)
+        Differentiable; training takes its log dual softmax. The scale goes
+        on the t x d side, as in `select`, so only one t x s array is built."""
+        return (fa * (1.0 / TEMPERATURE)) @ T.transpose(fb, (1, 0))
 
     def confidence(self, feat_a, feat_b):
         """Full coarse pipeline for one pair of [d, hc, wc] maps -> (P, grids),

@@ -18,10 +18,15 @@ of the fitted kernel-rotation operator can be dense, so an expanded
 coefficient can draw on all k*k base taps), so it is cheap and
 differentiable.
 
-Downsampling layers (stride 2) apply a stride-1 convolution followed by 2x2
-average pooling: on even grids the stride-2 sampling lattice has no
+Downsampling layers (stride 2) compute a stride-1 convolution followed by
+2x2 average pooling: on even grids the stride-2 sampling lattice has no
 rot90-symmetric phase, while block pooling commutes with quarter rotations
 exactly, which keeps strided layers equivariant instead of merely close.
+The pool is folded into the filter bank rather than run after it: the
+expansion table of a stride-2 layer yields the (k+1) x (k+1) bank of the
+k x k convolution followed by the 2x2 box, and that bank is convolved at
+stride 2 with the same padding. It is the same linear map, computed
+without the three quarters of outputs the pool would drop.
 """
 
 import numpy as np
@@ -69,6 +74,24 @@ def _expansion_taps(in_type, out_type, k, masked):
     return idx, w, shape
 
 
+def _pooled_taps(idx, w, shape):
+    """Tap tables of the [co, ci, k+1, k+1] bank that, convolved at stride 2,
+    equals the [co, ci, k, k] bank of (idx, w) followed by 2x2 average
+    pooling: entry (u, v) is a quarter of the sum of the k x k entries
+    (u - du, v - dv), du, dv in {0, 1}, that exist."""
+    co, ci, k, _ = shape
+    src = np.arange(co * ci * k * k).reshape(co, ci, k, k)
+    idxs, ws = [], []
+    for du in (0, 1):
+        for dv in (0, 1):
+            pos = np.full((co, ci, k + 1, k + 1), -1)   # -1: no k x k entry, weight 0
+            pos[:, :, du:du + k, dv:dv + k] = src
+            pos = pos.ravel()
+            idxs.append(idx[:, pos])
+            ws.append(np.where(pos >= 0, 0.25 * w[:, pos], 0.0))
+    return np.concatenate(idxs), np.concatenate(ws), (co, ci, k + 1, k + 1)
+
+
 _KINDS = {("trivial", "regular"): "lift", ("regular", "regular"): "group",
           ("regular", "trivial"): "readout"}
 
@@ -76,10 +99,11 @@ _KINDS = {("trivial", "regular"): "lift", ("regular", "regular"): "group",
 class EquivConv(Module):
     """Equivariant convolution between feature fields (lift/group/readout).
 
-    Stride 2 downsamples with a stride-1 convolution plus 2x2 average
-    pooling (see module docstring). Biases are shared per output field: one
-    per regular field (its N channels), one per channel of a trivial output,
-    since a trivial field is one channel.
+    Stride 2 (lift and group layers) convolves the (k+1) x (k+1) bank of the
+    k x k convolution followed by 2x2 average pooling at stride 2 (see
+    module docstring). Biases are shared per output field: one per regular
+    field (its N channels), one per channel of a trivial output, since a
+    trivial field is one channel.
     """
 
     def __init__(self, in_type, out_type, kernel_size=3, stride=1, padding=None,
@@ -103,8 +127,8 @@ class EquivConv(Module):
         if self.kind is None:
             raise ValueError(f"unsupported field type combination: "
                              f"{in_type.kind} -> {out_type.kind}")
-        if self.kind == "readout" and kernel_size != 1:
-            raise ValueError("readout layers are restricted to 1x1 kernels")
+        if self.kind == "readout" and (kernel_size != 1 or stride != 1):
+            raise ValueError("readout layers are restricted to 1x1 kernels at stride 1")
         fan_in = in_type.channel_count * kernel_size ** 2
         # the readout's group-sum multiplies activations by ~n
         gain = 1.0 if self.kind == "readout" else 2.0
@@ -114,13 +138,17 @@ class EquivConv(Module):
                                 kernel_size, kernel_size))
 
         self.base = Tensor(base, requires_grad=True, dtype=dtype)
-        self._taps = None if self.kind == "readout" else \
-            _expansion_taps(in_type, out_type, kernel_size, self._masked)
+        self._taps = None
+        if self.kind != "readout":
+            self._taps = _expansion_taps(in_type, out_type, kernel_size, self._masked)
+            if stride == 2:
+                self._taps = _pooled_taps(*self._taps)
         self.bias = Tensor(np.zeros(out_type.fields), requires_grad=True,
                            dtype=dtype) if bias else None
 
     def filter_bank(self):
-        """Expanded filters [out_channels, in_channels, k, k] (differentiable).
+        """Expanded filters [out_channels, in_channels, k, k] (differentiable);
+        k + 1 at stride 2, with the 2x2 pool folded in.
 
         A readout has no expansion: it returns its base, [out_fields,
         in_fields, 1, 1], which convolves the group-summed input fields."""
@@ -133,18 +161,19 @@ class EquivConv(Module):
         if x.shape[1] != self.in_type.channel_count:
             raise ValueError(f"{self.kind} conv expects {self.in_type.channel_count} "
                              f"channels, got {x.shape[1]}")
+        if self.stride == 2 and (x.shape[2] % 2 or x.shape[3] % 2):
+            raise ValueError(f"stride-2 {self.kind} conv requires even height and width, "
+                             f"got {x.shape[2]}x{x.shape[3]}")
         if self.kind == "readout":
             b, _, h, w = x.shape
             ft = self.in_type
             pooled = T.sum_(T.reshape(x, (b, ft.fields, ft.width, h, w)), axis=2)
             y = T.conv2d(pooled, self.base, stride=1, padding=0)
         else:
-            y = T.conv2d(x, self.filter_bank(), stride=1, padding=self.padding)
+            y = T.conv2d(x, self.filter_bank(), stride=self.stride, padding=self.padding)
         if self.bias is not None:
             bias_c = T.index(self.bias, self.out_type.field_of_channel())
             y = y + T.reshape(bias_c, (1, self.out_type.channel_count, 1, 1))
-        if self.stride == 2:
-            y = T.avg_pool2d(y, 2)
         return y
 
 

@@ -6,20 +6,24 @@ active GradientTape; `backward` replays the record in reverse to accumulate
 parameter gradients.
 """
 
+import contextvars
+
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-_ACTIVE_TAPE = None
+# the tape that records ops run in this thread or context, if any
+_ACTIVE_TAPE = contextvars.ContextVar("rotmatch_active_tape", default=None)
 
 
 class GradientTape:
     """Ordered record of executed differentiable operations.
 
     Used as a context manager. Operations executed inside the context whose
-    inputs require gradients append a node to the tape. `backward` replays
-    the record in reverse; gradients accumulate in `grads` across repeated
-    replays.
+    inputs require gradients append a node to the tape. The active tape is
+    per thread (a context variable): ops run in other threads record
+    nothing on it. `backward` replays the record in reverse; gradients
+    accumulate in `grads` across repeated replays.
     """
 
     def __init__(self):
@@ -27,17 +31,16 @@ class GradientTape:
         self.grads = {}  # leaf Tensor -> accumulated ndarray
         self._watched = []
         self.untracked = []  # watched params that received no gradient
+        self._token = None
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise RuntimeError("nested GradientTape contexts are not supported")
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def watch(self, *tensors):
@@ -134,7 +137,7 @@ def _wrap(x, dtype):
 
 def _record(out, parents, backward_fn):
     """Append a node to the active tape if any parent is being tracked."""
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._leaf = False
@@ -527,7 +530,12 @@ def layer_norm(a, gain, bias, eps=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# convolution / pooling / resampling
+# convolution / resampling
+
+# Bytes of per-tap products `conv2d` computes before adding them up: a run of
+# output positions of this size is worked through all taps while it is in
+# cache.
+CONV_BLOCK_BYTES = 1 << 20
 
 
 def conv2d(x, kernel, stride=1, padding=0):
@@ -535,73 +543,94 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     Args:
         x: Tensor [batch, c_in, h, w].
-        kernel: Tensor [c_out, c_in, k, k], k odd.
+        kernel: Tensor [c_out, c_in, k, k], any k >= 1.
         stride: positive int.
         padding: non-negative int, zeros on all four sides.
 
     Returns:
         Tensor [batch, c_out, h', w'] with h' = (h + 2*padding - k)//stride + 1.
+
+    Flat-shift form, with no im2col matrix: the input is zero-padded once
+    and split into its stride x stride polyphase parts xp[:, :, a::s, c::s],
+    each flattened to [b, c_in, H*W]. Part (a, c) is convolved at stride 1
+    with the taps kernel[:, :, a::s, c::s]; kernel tap (u, v) reads the
+    contiguous slice at offset (u//s)*W + v//s, so each tap is one
+    [c_out, c_in] @ [c_in, h'*W] GEMM accumulated into the output, whose
+    W - w' junk columns per row are dropped. The backward pass runs the
+    same slices: one g @ sliceᵀ GEMM per tap for the kernel gradient and
+    kernelᵀ @ g added at the tap's offset for the input gradient. Both
+    passes work through the output positions in runs of CONV_BLOCK_BYTES.
     """
     b, ci, h, w = x.data.shape
-    co, cik, kh, kw = kernel.data.shape
+    co, cik, k, kw = kernel.data.shape
     if ci != cik:
         raise ValueError(f"conv2d channel mismatch: input has {ci}, kernel expects {cik}")
-    if kh != kw:
+    if k != kw:
         raise ValueError("conv2d requires square kernels")
-    if kh % 2 == 0:
-        raise ValueError("conv2d requires odd kernel size")
     if stride < 1 or padding < 0:
         raise ValueError("conv2d requires stride >= 1 and padding >= 0")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
+    if h + 2 * padding < k or w + 2 * padding < k:
         raise ValueError("conv2d input smaller than kernel after padding")
 
-    k = kh
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s, p = stride, padding
+    dtype = np.result_type(x.data, kernel.data)   # a float32 image meets float64 kernels
+    ho = (h + 2 * p - k) // s + 1
+    wo = (w + 2 * p - k) // s + 1
+    # the padded image rounded up to whole s x s cells, so every part is hs x ws
+    hs, ws = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    if p or s > 1:
+        xp = np.zeros((b, ci, hs * s, ws * s), dtype=dtype)
+        xp[:, :, p:p + h, p:p + w] = x.data
     else:
-        xp = x.data
-    hp, wp = xp.shape[2], xp.shape[3]
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+        xp = x.data.astype(dtype, copy=False)
+    m = min(s, k)   # parts a >= k hold no taps
+    parts = np.ascontiguousarray(
+        xp.reshape(b, ci, hs, s, ws, s)[:, :, :, :m, :, :m].transpose(3, 5, 0, 1, 2, 4)
+    ).reshape(m, m, b, ci, hs * ws)
+    n = (ho - 1) * ws + wo     # output positions from the first to the last kept one
+    taps = [(u, v, u % s, v % s, (u // s) * ws + v // s) for v in range(k) for u in range(k)]
+    kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))    # [k, k, co, ci]
 
-    # im2col via strided view, then one matmul
-    sb, sc, sh, sw = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, shape=(b, ci, ho, wo, k, k),
-        strides=(sb, sc, sh * stride, sw * stride, sh, sw), writeable=False)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * ho * wo, ci * k * k)
-    kmat = kernel.data.reshape(co, ci * k * k)
-    y = (cols @ kmat.T).reshape(b, ho, wo, co).transpose(0, 3, 1, 2)
-    out = Tensor(np.ascontiguousarray(y))
+    # runs of output positions whose per-tap products stay in cache
+    run = max(1, CONV_BLOCK_BYTES // (b * max(co, ci) * dtype.itemsize))
+    runs = [(r0, min(r0 + run, n)) for r0 in range(0, n, run)]
+
+    acc = np.empty((b, co, ho * ws), dtype=dtype)
+    tmp = np.empty((b, co, min(run, n)), dtype=dtype)
+    for r0, r1 in runs:
+        t = tmp[:, :, :r1 - r0]
+        for i, (u, v, a, c, off) in enumerate(taps):
+            src = parts[a, c, :, :, off + r0:off + r1]
+            if i == 0:
+                np.matmul(kt[u, v], src, out=acc[:, :, r0:r1])
+            else:
+                np.matmul(kt[u, v], src, out=t)
+                acc[:, :, r0:r1] += t
+    out = Tensor(acc.reshape(b, co, ho, ws)[:, :, :, :wo])
 
     def bwd(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(b * ho * wo, co)
-        gk = (gmat.T @ cols).reshape(co, ci, k, k)
-        gcols = gmat @ kmat  # [b*ho*wo, ci*k*k]
-        gcols = gcols.reshape(b, ho, wo, ci, k, k).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
-        for u in range(k):
-            for v in range(k):
-                gxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += gcols[..., u, v]
-        gx = gxp[:, :, padding:hp - padding, padding:wp - padding] if padding else gxp
-        return (np.ascontiguousarray(gx), gk)
+        gp = np.zeros((b, co, ho, ws), dtype=dtype)   # zero junk columns
+        gp[:, :, :, :wo] = g
+        gf = gp.reshape(b, co, ho * ws)
+        gk = np.zeros_like(kt)
+        gparts = np.zeros_like(parts) if x.requires_grad else None
+        gtmp = np.empty((b, ci, min(run, n)), dtype=dtype)
+        for r0, r1 in runs:
+            gr, t = gf[:, :, r0:r1], gtmp[:, :, :r1 - r0]
+            for u, v, a, c, off in taps:
+                src = parts[a, c, :, :, off + r0:off + r1]
+                gk[u, v] += np.matmul(gr, src.transpose(0, 2, 1)).sum(axis=0)
+                if gparts is not None:
+                    np.matmul(kt[u, v].T, gr, out=t)
+                    gparts[a, c, :, :, off + r0:off + r1] += t
+        gx = None
+        if gparts is not None:
+            gxp = np.zeros((b, ci, hs, s, ws, s), dtype=x.dtype)
+            gxp[:, :, :, :m, :, :m] = gparts.reshape(m, m, b, ci, hs, ws).transpose(2, 3, 4, 0, 5, 1)
+            gx = np.ascontiguousarray(gxp.reshape(b, ci, hs * s, ws * s)[:, :, p:p + h, p:p + w])
+        return gx, np.ascontiguousarray(gk.transpose(2, 3, 0, 1))
 
     return _record(out, (x, kernel), bwd)
-
-
-def avg_pool2d(x, size=2):
-    """Non-overlapping average pooling over size x size blocks."""
-    b, c, h, w = x.data.shape
-    if h % size or w % size:
-        raise ValueError(f"avg_pool2d requires dims divisible by {size}, got {h}x{w}")
-    y = x.data.reshape(b, c, h // size, size, w // size, size).mean(axis=(3, 5))
-    out = Tensor(y)
-
-    def bwd(g):
-        gx = np.repeat(np.repeat(g, size, axis=2), size, axis=3) / (size * size)
-        return (gx.astype(x.dtype, copy=False),)
-
-    return _record(out, (x,), bwd)
 
 
 def upsample_nearest2x(x):

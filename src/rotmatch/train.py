@@ -146,7 +146,9 @@ def sample_batch(rng, sequences, batch_size):
 def train(config, dataset_root, out_dir, log_every=25, progress=None):
     """Train on a generated dataset; saves improving checkpoints (top-k kept
     by validation corner-error AUC@10px on a held-out split) plus the final
-    model, and a JSONL metrics log. Deterministic per config seed."""
+    model, and a JSONL metrics log: each logged step has its losses, step
+    and backward seconds, global gradient L2 norm and the names of the
+    parameters the loss did not reach. Deterministic per config seed."""
     from .evaluate import evaluate_pairs   # deferred: avoids a module cycle
 
     config.validate()
@@ -165,6 +167,7 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
     # linear learning-rate scaling from a reference batch of 2
     lr = tcfg.lr * (tcfg.batch_size / 2.0)
     params = model.parameters()
+    param_names = {id(p): name for name, p in model.named_parameters()}
     opt = Adam(params, lr=lr)
 
     result = TrainResult(out_dir=out_dir, steps_run=0)
@@ -175,6 +178,7 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
     model.train(True)
     try:
         for step in range(1, tcfg.steps + 1):
+            t_step = time.perf_counter()
             batch = sample_batch(rng, train_seqs, tcfg.batch_size)
             with GradientTape() as tape:
                 tape.watch(*params)
@@ -186,8 +190,11 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
                     raise FloatingPointError(
                         f"non-finite loss at step {step}: "
                         f"coarse={coarse_l.data if coarse_l is not None else None}")
+                t_backward = time.perf_counter()
                 grads = backward(total, tape)
+                backward_s = time.perf_counter() - t_backward
             opt.step(grads)
+            step_s = time.perf_counter() - t_step
             result.steps_run = step
             loss_val = float(total.data)
             result.losses.append(loss_val)
@@ -197,6 +204,10 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
                      "assigned": stats["assigned"],
                      "coarse_correct": stats["coarse_correct"]}
             if step % log_every == 0 or step == 1:
+                sq = sum(np.sum(np.square(g, dtype=np.float64)) for g in grads.values())
+                entry.update(step_s=step_s, backward_s=backward_s,
+                             grad_norm=float(np.sqrt(sq)),
+                             untracked=[param_names[id(p)] for p in tape.untracked])
                 log_f.write(json.dumps(entry) + "\n")
                 log_f.flush()
                 if progress:

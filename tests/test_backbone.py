@@ -106,6 +106,26 @@ class TestImageValidation:
             _tiny_matcher().match_pair(GRAY, np.full((3, 32, 40), 0.5, np.float32))
 
 
+class TestMemory:
+    def test_features_480x640_peak(self):
+        # one 480x640 pair through the default backbone; an im2col matrix of
+        # the 32-channel 240x320 layers alone would be 177 MB
+        import tracemalloc
+        from rotmatch.config import Config
+        from rotmatch.model import MatcherModel
+        model = MatcherModel(Config.default(), rng=np.random.default_rng(0))
+        model.eval()
+        imgs = Tensor(np.random.default_rng(1).random((2, 3, 480, 640)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            coarse, fine = model.features(imgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coarse.shape == (2, 32, 60, 80) and fine.shape == (2, 16, 240, 320)
+        assert peak < 180e6
+
+
 class TestParameterAccounting:
     def test_plain_hand_count_tiny_config(self):
         # base_width 8 -> stages (8, 12, 16); coarse 8, fine 4

@@ -129,6 +129,21 @@ class TestMutualMatches:
             tracemalloc.stop()
         assert peak < 4800 * 4800 * 4 / 4
 
+    def test_similarity_builds_one_full_matrix(self):
+        # the temperature scales the 4800 x 32 side, not the 4800 x 4800 product
+        rng = np.random.default_rng(16)
+        matcher = CoarseMatcher(coarse_dim=32, cfg=MatcherConfig(), rng=rng)
+        fa = Tensor(rng.normal(size=(4800, 32)).astype(np.float32))
+        fb = Tensor(rng.normal(size=(4800, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            s = matcher.similarity(fa, fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.shape == (4800, 4800)
+        assert peak < 1.25 * 4800 * 4800 * 4
+
 
 class TestCoarseMatcher:
     def test_identity_assignment_attention_bypassed(self):

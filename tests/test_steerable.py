@@ -4,7 +4,7 @@ import pytest
 from rotmatch import tensor as T
 from rotmatch.groups import CyclicGroup, FieldType, act_on_field, rotate_image
 from rotmatch.nn import param_count
-from rotmatch.steerable import EquivConv, InnerBatchNorm
+from rotmatch.steerable import EquivConv, InnerBatchNorm, _expansion_taps
 from rotmatch.tensor import Tensor, finite_diff_check
 
 C1 = CyclicGroup(1)
@@ -132,6 +132,45 @@ class TestGroupConv:
     def test_group_mismatch_rejected(self):
         with pytest.raises(ValueError, match="group"):
             EquivConv(FieldType.regular(C4, 2), FieldType.regular(C8, 2))
+
+    def test_strided_odd_size_rejected(self):
+        layer = EquivConv(FieldType.regular(C4, 2), FieldType.regular(C4, 2), 3, stride=2)
+        with pytest.raises(ValueError, match="even height and width, got 7x8"):
+            layer(Tensor(np.zeros((1, 8, 7, 8), dtype=np.float32)))
+
+
+def conv_then_pool(layer, x):
+    """The stride-2 map as a k x k stride-1 convolution of the unpooled bank,
+    plus bias, then 2x2 average pooling."""
+    idx, w, shape = _expansion_taps(layer.in_type, layer.out_type, layer.k, layer._masked)
+    y = T.conv2d(x, T.sparse_taps(layer.base, idx, w, shape), padding=layer.padding).data
+    y = y + layer.bias.data[layer.out_type.field_of_channel()][None, :, None, None]
+    b, c, h, w = y.shape
+    return y.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+class TestStridedFoldedBank:
+    @pytest.mark.parametrize("group", [C4, C8])
+    @pytest.mark.parametrize("k", [3, 1])
+    @pytest.mark.parametrize("kind", ["lift", "group"])
+    def test_equals_conv_then_pool(self, kind, k, group):
+        rng = np.random.default_rng(30 + k)
+        ft_in = FieldType.trivial(group, 3) if kind == "lift" else FieldType.regular(group, 2)
+        ft_out = FieldType.regular(group, 3)
+        layer = EquivConv(ft_in, ft_out, kernel_size=k, stride=2, rng=rng)
+        assert layer.kind == kind
+        layer.bias.data[:] = rng.normal(size=layer.bias.shape)
+        x = Tensor(rng.normal(size=(2, ft_in.channel_count, 10, 12)).astype(np.float32))
+        assert layer.filter_bank().shape == (ft_out.channel_count, ft_in.channel_count,
+                                             k + 1, k + 1)
+        got = layer(x).data
+        ref = conv_then_pool(layer, x)
+        assert got.shape == ref.shape == (2, ft_out.channel_count, 5, 6)
+        assert np.abs(got - ref).max() < 1e-5
+
+    def test_readout_stride_2_rejected(self):
+        with pytest.raises(ValueError, match="at stride 1"):
+            EquivConv(FieldType.regular(C4, 2), FieldType.trivial(C4, 2), 1, stride=2)
 
 
 class TestReadout:

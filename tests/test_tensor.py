@@ -78,9 +78,32 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channel mismatch"):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
 
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+    def test_float32_input_float64_kernel_computes_in_float64(self):
+        # training feeds float32 images to the float64 models of gradient checks
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(1, 2, 6, 7)).astype(np.float32)
+        k = rng.normal(size=(3, 2, 4, 4))
+        y = T.conv2d(Tensor(x), Tensor(k, dtype=np.float64), stride=2, padding=1)
+        assert y.dtype == np.float64
+        ref = conv2d_loop(x.astype(np.float64), k, stride=2, padding=1)
+        assert np.abs(y.data - ref).max() < 1e-12
+
+    # odd and even h and w, so the polyphase parts of a strided input differ
+    # in size; even kernels are the pooled banks of stride-2 equivariant layers
+    @pytest.mark.parametrize("hw", [(7, 8), (8, 9)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_kernel_stride_padding_against_loop_oracle(self, k, stride, padding, hw):
+        rng = np.random.default_rng(100 * k + 10 * stride + padding)
+        x = rng.normal(size=(2, 3, *hw))
+        kern = rng.normal(size=(4, 3, k, k))
+        y = T.conv2d(Tensor(x, dtype=np.float64), Tensor(kern, dtype=np.float64),
+                     stride=stride, padding=padding)
+        ref = conv2d_loop(x, kern, stride=stride, padding=padding)
+        assert y.data.shape == ref.shape
+        rel = np.abs(y.data - ref) / np.maximum(np.abs(ref), 1e-9)
+        assert rel.max() < 1e-6
 
 
 class TestMapPixelCenters:
@@ -262,7 +285,10 @@ def _fd_cases():
                       lambda p: T.sum_(T.conv2d(p[0], p[1], padding=1) ** 2.0)),
         "conv2d_s2": ([r(2, 2, 6, 6), r(2, 2, 3, 3)],
                       lambda p: T.sum_(T.conv2d(p[0], p[1], stride=2, padding=1) ** 2.0)),
-        "avg_pool2d": ([r(1, 3, 6, 6)], lambda p: T.sum_(T.avg_pool2d(p[0], 2) ** 2.0)),
+        "conv2d_k1": ([r(2, 3, 7, 9), r(2, 3, 1, 1)],
+                      lambda p: T.sum_(T.conv2d(p[0], p[1]) ** 2.0)),
+        "conv2d_k4_s2": ([r(2, 2, 7, 9), r(3, 2, 4, 4)],
+                         lambda p: T.sum_(T.conv2d(p[0], p[1], stride=2, padding=1) ** 2.0)),
         "upsample_nearest2x": ([r(1, 2, 3, 3)],
                                lambda p: T.sum_(T.upsample_nearest2x(p[0]) ** 2.0)),
         "crop_windows": ([r(2, 8, 8)],
@@ -407,3 +433,25 @@ class TestTensorBasics:
             with pytest.raises(RuntimeError, match="nested"):
                 with GradientTape():
                     pass
+
+    def test_tape_is_per_thread(self):
+        import threading
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        worker_nodes = []
+
+        def work():
+            T.sum_(x * x)           # no tape is active in this thread
+            with GradientTape() as own:
+                own.watch(x)
+                T.sum_(x * 3.0)
+            worker_nodes.append(len(own._nodes))
+
+        with GradientTape() as tape:
+            tape.watch(x)
+            T.sum_(x)
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert len(tape._nodes) == 1
+        assert worker_nodes == [2]

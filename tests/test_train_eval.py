@@ -60,6 +60,39 @@ class TestTraining:
         r2, _ = train(cfg, data, str(tmp_path / "r2"))
         assert r1.losses == r2.losses
 
+    def test_log_carries_step_observability(self, tmp_path, monkeypatch):
+        import json
+        import rotmatch.train as rtrain
+        data = str(tmp_path / "d")
+        synth_dataset(data, 4, 32, 32, seed=9)
+        cfg = tiny_config(steps=3)
+        cfg.backbone.base_width = 8
+        cfg.backbone.coarse_dim = 16
+        cfg.backbone.fine_dim = 8
+        cfg.matcher.d_model = 16
+        replays = []
+
+        def recording_backward(loss, tape):
+            grads = backward(loss, tape)
+            replays.append((grads, list(tape.untracked)))
+            return grads
+
+        monkeypatch.setattr(rtrain, "backward", recording_backward)
+        result, model = train(cfg, data, str(tmp_path / "r"), log_every=1)
+        names = {id(p): n for n, p in model.named_parameters()}
+        with open(os.path.join(result.out_dir, "train_log.jsonl"), encoding="utf-8") as f:
+            entries = [e for e in map(json.loads, f) if "loss" in e]
+        assert [e["step"] for e in entries] == [1, 2, 3] and len(replays) == 3
+        for e, (grads, untracked) in zip(entries, replays):
+            assert {"step_s", "backward_s", "grad_norm", "untracked"} <= set(e)
+            assert 0 < e["backward_s"] < e["step_s"]
+            direct = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
+            assert e["grad_norm"] == pytest.approx(direct, rel=1e-12)
+            assert e["untracked"] == [names[id(p)] for p in untracked]
+        # the logged fields leave the loss curve as it is
+        quiet, _ = train(cfg, data, str(tmp_path / "q"), log_every=1000)
+        assert quiet.losses == result.losses
+
     def test_lambda_zero_gives_zero_fine_gradients(self, tmp_path):
         data = str(tmp_path / "d")
         synth_dataset(data, 3, 32, 32, seed=8)
