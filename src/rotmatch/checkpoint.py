@@ -63,7 +63,25 @@ def _read_manifest(f, path):
     if mlen > room:
         raise ValueError(f"{path}: manifest length {mlen} exceeds the {room} bytes "
                          f"after the header")
-    return json.loads(f.read(mlen).decode("utf-8"))
+    manifest = json.loads(f.read(mlen).decode("utf-8"))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), list):
+        raise ValueError(f"{path}: manifest is not a JSON object with a 'params' list")
+    for i, entry in enumerate(manifest["params"]):
+        _check_entry(path, i, entry)
+    return manifest
+
+
+def _check_entry(path, i, entry):
+    """ValueError unless `entry` is {"name": str, "shape": [int >= 0, ...],
+    "width": 4 or 8}."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise ValueError(f"{path}: manifest entry {i} has no name: {entry!r}")
+    where = f"{path}: manifest entry {entry['name']!r}"
+    shape, width = entry.get("shape"), entry.get("width")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
+    if type(width) is not int or width not in _WIDTH_TO_DTYPE:
+        raise ValueError(f"{where}: width {width!r} is not 4 or 8")
 
 
 def checkpoint_config(path):

@@ -51,6 +51,14 @@ class Config:
             raise ValueError("train.lr must be positive")
         if self.train.batch_size < 1:
             raise ValueError("train.batch_size must be at least 1")
+        if self.train.val_interval < 1:
+            raise ValueError("train.val_interval must be at least 1")
+        if self.train.seed < 0:
+            raise ValueError("train.seed must be non-negative")
+        if not self.eval.thresholds or not all(math.isfinite(t) and t > 0
+                                               for t in self.eval.thresholds):
+            raise ValueError(f"eval.thresholds must be a non-empty list of finite positive "
+                             f"pixel errors, got {list(self.eval.thresholds)}")
         fine_heads = min(self.matcher.n_heads, self.backbone.fine_dim)
         if self.backbone.fine_dim % fine_heads:
             raise ValueError(f"backbone.fine_dim ({self.backbone.fine_dim}) must be divisible "

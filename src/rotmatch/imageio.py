@@ -4,6 +4,8 @@ Images are float arrays in [0, 1], shaped [3, h, w] (RGB) or [1, h, w]
 (gray). Files are written as "P6\\n{w} {h}\\n255\\n" + raw bytes.
 """
 
+import os
+
 import numpy as np
 
 
@@ -35,9 +37,14 @@ def read_ppm(path):
         maxval = int(_token(f))
         if maxval != 255:
             raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
-        raw = f.read(w * h * channels)
-    if len(raw) != w * h * channels:
-        raise ValueError(f"{path}: truncated pixel data")
+        if w <= 0 or h <= 0:
+            raise ValueError(f"{path}: image size {w}x{h} is not positive")
+        need = w * h * channels
+        room = os.fstat(f.fileno()).st_size - f.tell()
+        if need > room:
+            raise ValueError(f"{path}: truncated pixel data: {w}x{h} needs {need} bytes, "
+                             f"{room} follow the header")
+        raw = f.read(need)
     img = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
     return (img.transpose(2, 0, 1).astype(np.float32) / 255.0)
 

@@ -14,6 +14,8 @@ from .tensor import Tensor
 
 TEMPERATURE = 0.1     # similarity softmax temperature
 FINE_WINDOW = 5       # odd window size on the fine grid
+# most bytes of one block of coarse scores that `mutual_matches` holds
+SCORE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -102,9 +104,9 @@ def log_dual_softmax(scores):
 
 def _score_blocks(a, b):
     """Yield (rows, a[rows] @ bᵀ) over blocks of rows of the scores, each at
-    most `tensor.ATTENTION_BLOCK_BYTES`; the caller may overwrite a block."""
+    most SCORE_BLOCK_BYTES; the caller may overwrite a block."""
     bt = np.ascontiguousarray(b.T)
-    n = max(1, T.ATTENTION_BLOCK_BYTES // (bt.shape[1] * bt.itemsize))
+    n = max(1, SCORE_BLOCK_BYTES // (bt.shape[1] * bt.itemsize))
     for i in range(0, a.shape[0], n):
         rows = slice(i, min(i + n, a.shape[0]))
         yield rows, a[rows] @ bt
@@ -162,14 +164,18 @@ def l2_normalize(x, eps=1e-8):
 
 
 def softmax_attention(q, k, v):
-    """Scaled dot-product attention with scale 1/sqrt(head width)."""
-    return T.attention(q, k, v, 1.0 / np.sqrt(q.shape[-1]))
+    """Scaled dot-product attention softmax(q @ kᵀ / sqrt(head width)) @ v on
+    [b, heads, tokens, head width] Tensors, from tape ops. It builds the
+    whole [b, heads, t, s] score array: fine windows have 25 tokens."""
+    scores = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(q.shape[-1]))
+    return T.softmax(scores, axis=-1) @ v
 
 
 class MultiHeadAttention(Module):
     """Multi-head attention through `attend(q, k, v)`, an op on
-    [b, heads, tokens, head width] Tensors: `softmax_attention` or
-    `tensor.linear_attention`."""
+    [b, heads, tokens, head width] Tensors: `tensor.linear_attention` over
+    the coarse tokens, or `softmax_attention`, composed from tape ops, in
+    the fine windows."""
 
     def __init__(self, d_model, n_heads, rng, attend, dtype=np.float32):
         super().__init__()

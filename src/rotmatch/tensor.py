@@ -204,23 +204,6 @@ def pow_scalar(a, p):
     return _record(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
-def exp(a):
-    e = np.exp(a.data)
-    out = Tensor(e)
-    return _record(out, (a,), lambda g: (g * e,))
-
-
-def log(a):
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a):
-    r = np.sqrt(a.data)
-    out = Tensor(r)
-    return _record(out, (a,), lambda g: (g * (0.5 / r),))
-
-
 def relu(a):
     """Pointwise max(x, 0)."""
     mask = a.data > 0
@@ -353,96 +336,6 @@ def softmax(a, axis=-1):
         return ((g - dot) * s,)
 
     return _record(out, (a,), bwd)
-
-
-# Most bytes of scores `attention` holds at once; `matcher.mutual_matches`
-# sizes its row blocks from it too. `attention` splits one batch item into
-# runs of query rows only when that item's scores alone are larger. No shipped
-# caller gets there (the coarse stage uses `linear_attention`, the fine
-# windows have 25 tokens), but the path bounds the memory of the public op.
-ATTENTION_BLOCK_BYTES = 4 << 20
-
-
-def _attention_block_size(h, t, s, itemsize):
-    """(batch items, query rows) per block of [b, h, t, s] scores, at most
-    ATTENTION_BLOCK_BYTES: whole batch items while one item's scores fit,
-    else the query rows of one item at a time."""
-    item = max(h * t * s * itemsize, 1)
-    if item <= ATTENTION_BLOCK_BYTES:
-        return ATTENTION_BLOCK_BYTES // item, t
-    return 1, max(1, ATTENTION_BLOCK_BYTES // (h * s * itemsize))
-
-
-def attention(q, k, v, scale):
-    """Scaled dot-product attention softmax(scale * q @ kᵀ) @ v.
-
-    Args:
-        q: Tensor [b, h, t, d] queries.
-        k: Tensor [b, h, s, d] keys.
-        v: Tensor [b, h, s, dv] values.
-        scale: score multiplier, usually 1/sqrt(d).
-
-    Returns:
-        Tensor [b, h, t, dv].
-
-    Scores exist one block at a time (see `_attention_block_size`). The
-    forward pass keeps only the last block's probabilities and the backward
-    pass recomputes every other block's, so neither pass holds more than a
-    few blocks of scores. An input that fits one block gets the arithmetic
-    of the composed matmul, scale, softmax and matmul ops, bit for bit, in
-    both passes.
-    """
-    b, h, t, d = q.shape
-    s = k.shape[2]
-    if k.shape != (b, h, s, d) or v.ndim != 4 or v.shape[:3] != (b, h, s):
-        raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    dtype = q.dtype
-    scale = np.asarray(scale, dtype=dtype)
-    qd, vd = q.data, v.data
-    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    nb, rows = _attention_block_size(h, t, s, dtype.itemsize)
-    blocks = [(slice(b0, b0 + nb), slice(r0, r0 + rows))
-              for b0 in range(0, b, nb) for r0 in range(0, t, rows)]
-    block_shape = (min(nb, b), h, min(rows, t), s)
-
-    def probs(bs, rs, buf):
-        """Softmax probabilities of one block, computed in place in `buf`."""
-        qb = qd[bs, :, rs]
-        p = buf[:qb.shape[0], :, :qb.shape[2]]
-        np.matmul(qb, kt[bs], out=p)
-        p *= scale
-        return softmax_into(p, -1, p)
-
-    out_data = np.empty((b, h, t, vd.shape[3]), dtype=dtype)
-    buf = np.empty(block_shape, dtype=dtype)
-    last = None
-    for bs, rs in blocks:
-        last = probs(bs, rs, buf)
-        np.matmul(last, vd[bs], out=out_data[bs, :, rs])
-    out = Tensor(out_data)
-
-    def bwd(g):
-        dq = np.empty_like(qd)
-        dkt = np.zeros_like(kt)
-        dv = np.zeros_like(vd)
-        p_buf, dp_buf, tmp_buf = (np.empty(block_shape, dtype=dtype) for _ in range(3))
-        for i, (bs, rs) in enumerate(blocks):
-            # the forward pass kept the last block's probabilities
-            p = last if i == len(blocks) - 1 else probs(bs, rs, p_buf)
-            n, r = p.shape[0], p.shape[2]
-            gb = g[bs, :, rs]
-            dv[bs] += np.matmul(np.swapaxes(p, -1, -2), gb)
-            dp = np.matmul(gb, np.swapaxes(vd[bs], -1, -2), out=dp_buf[:n, :, :r])
-            # softmax backward, then the scale: dS = (dP - rowsum(dP * P)) * P * scale
-            tmp = np.multiply(dp, p, out=tmp_buf[:n, :, :r])
-            dp -= tmp.sum(axis=-1, keepdims=True)
-            dp *= p
-            dp *= scale
-            np.matmul(dp, np.swapaxes(kt[bs], -1, -2), out=dq[bs, :, rs])
-            dkt[bs] += np.matmul(np.swapaxes(qd[bs, :, rs], -1, -2), dp)
-        return dq, np.swapaxes(dkt, -1, -2), dv
-
-    return _record(out, (q, k, v), bwd)
 
 
 def linear_attention(q, k, v):

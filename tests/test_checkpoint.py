@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from rotmatch.checkpoint import MAGIC, checkpoint_config, load_checkpoint, save_checkpoint
 from rotmatch.config import Config, load_config
 from rotmatch.model import MatcherModel, load_model, save_model
+
+
+_NO_PARAMS = "manifest is not a JSON object with a 'params' list"
 
 
 class TestCheckpointFormat:
@@ -69,6 +73,23 @@ class TestCheckpointFormat:
             load_checkpoint(path)
         with pytest.raises(ValueError, match="manifest length"):
             checkpoint_config(path)
+
+    @pytest.mark.parametrize("manifest,message", [
+        ([{"name": "x", "shape": [2], "width": 4}], _NO_PARAMS),
+        ({"config": "train.steps = 3\n"}, _NO_PARAMS),
+        ({"params": [{"name": "x", "shape": [2], "width": 2}]},
+         "manifest entry 'x': width 2 is not 4 or 8"),
+        ({"params": [{"name": "x", "shape": [-2], "width": 4}]},
+         "manifest entry 'x': shape [-2] is not a list of non-negative integers"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, manifest, message):
+        path = tmp_path / "m.rmckpt"
+        text = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text + bytes(8))
+        for read in (load_checkpoint, checkpoint_config):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == f"{path}: {message}"
 
 
 class TestModelCheckpoint:
@@ -185,6 +206,11 @@ class TestConfig:
         (["matcher.n_heads=0"], "divisible by n_heads"),
         (["backbone.fine_dim=6"], "fine attention"),
         (["train.batch_size=0"], "batch_size"),
+        (["train.val_interval=0"], "val_interval"),
+        (["train.seed=-1"], "seed"),
+        (["eval.thresholds=[]"], "thresholds"),
+        (["eval.thresholds=[NaN]"], "thresholds"),
+        (["eval.thresholds=[0, 5]"], "thresholds"),
     ])
     def test_cross_field_constraints(self, overrides, message):
         with pytest.raises(ValueError, match=message):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,26 @@ class TestImageIO:
         data = (tmp_path / "h.ppm").read_bytes()
         assert data.startswith(b"P6\n4 2\n255\n")
         assert len(data) == len(b"P6\n4 2\n255\n") + 2 * 4 * 3
+
+    @pytest.mark.parametrize("size", [b"-4 3", b"4 -3", b"0 3", b"4 0"])
+    def test_non_positive_size_rejected(self, tmp_path, size):
+        path = tmp_path / "s.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(36))
+        with pytest.raises(ValueError, match="image size .* is not positive"):
+            read_ppm(path)
+
+    def test_truncated_body_rejected_before_reading(self, tmp_path):
+        # the header names 75 MB of pixels; 10 bytes follow it
+        path = tmp_path / "t.ppm"
+        path.write_bytes(b"P6\n5000 5000\n255\n" + bytes(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated pixel data"):
+                read_ppm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLoadSequence:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rotmatch import matcher as M
 from rotmatch import tensor as T
 
 from rotmatch.backbone import FINE_STRIDE
@@ -104,7 +105,7 @@ class TestMutualMatches:
         b = rng.normal(size=(s, d))
         a = 4.0 * np.concatenate([b[rng.permutation(s)[:30]] + 0.4 * rng.normal(size=(30, d)),
                                   rng.normal(size=(t - 30, d))])
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", rows * s * 8)
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
         conf = dual_softmax(a @ b.T).data
         row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
         mutual = col_best[row_best] == np.arange(t)

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from rotmatch import tensor as T
+from rotmatch.matcher import softmax_attention
 from rotmatch.tensor import GradientTape, Tensor, backward, finite_diff_check
 
 
@@ -248,18 +251,14 @@ def _fd_cases():
     gain = r(6)
     bias = r(6)
     centers = np.array([[2, 2], [3, 4]])
-    cases = {
+    return {
         "add": ([r(3, 4), r(3, 4)], lambda p: T.sum_((p[0] + p[1]) ** 2.0)),
         "add_broadcast": ([r(3, 4), r(4)], lambda p: T.sum_((p[0] + p[1]) ** 2.0)),
         "sub": ([r(3, 4), r(3, 4)], lambda p: T.sum_((p[0] - p[1]) ** 2.0)),
         "mul": ([r(3, 4), r(3, 4)], lambda p: T.sum_(p[0] * p[1] * p[0])),
         "div": ([r(3, 4), Tensor(rng.random((3, 4)) + 1.5, requires_grad=True, dtype=np.float64)],
                 lambda p: T.sum_((p[0] / p[1]) ** 2.0)),
-        "exp": ([r(3, 3)], lambda p: T.sum_(T.exp(p[0]))),
-        "log": ([Tensor(rng.random((3, 3)) + 0.5, requires_grad=True, dtype=np.float64)],
-                lambda p: T.sum_(T.log(p[0]))),
-        "sqrt": ([Tensor(rng.random((3, 3)) + 0.5, requires_grad=True, dtype=np.float64)],
-                 lambda p: T.sum_(T.sqrt(p[0]))),
+        "neg": ([r(3, 4), r(3, 4)], lambda p: T.sum_(-p[0] * p[1])),
         "relu": ([Tensor(rng.normal(size=(4, 4)) + 0.3, requires_grad=True, dtype=np.float64)],
                  lambda p: T.sum_(T.relu(p[0]) ** 2.0)),
         "matmul": ([r(3, 4), r(4, 5)], lambda p: T.sum_((p[0] @ p[1]) ** 2.0)),
@@ -293,102 +292,33 @@ def _fd_cases():
                                lambda p: T.sum_(T.upsample_nearest2x(p[0]) ** 2.0)),
         "crop_windows": ([r(2, 8, 8)],
                          lambda p: T.sum_(T.crop_windows(p[0], centers, 3) ** 2.0)),
-        "attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 3)],
-                      lambda p: T.sum_(T.attention(p[0], p[1], p[2], 0.7) ** 2.0)),
+        "linear_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 2)],
+                             lambda p: T.sum_(T.linear_attention(p[0], p[1], p[2]) ** 2.0)),
+        # the fine windows' matmul / scale / softmax / matmul chain
+        "softmax_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 3)],
+                              lambda p: T.sum_(softmax_attention(p[0], p[1], p[2]) ** 2.0)),
     }
-    cases["linear_attention"] = ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 2)],
-                                 lambda p: T.sum_(T.linear_attention(p[0], p[1], p[2]) ** 2.0))
-    cases["attention_blocks"] = cases["attention"]
-    return cases
-
-
-# Score-block byte budgets for cases that must span several attention blocks:
-# 128 bytes is 2 query rows of one [2, 5, 4] float64 item, so 6 blocks.
-_BLOCK_BUDGETS = {"attention_blocks": 128}
 
 
 @pytest.mark.parametrize("name", sorted(_fd_cases().keys()))
-def test_op_gradients(name, monkeypatch):
-    if name in _BLOCK_BUDGETS:
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", _BLOCK_BUDGETS[name])
-        assert T._attention_block_size(2, 5, 4, 8) == (1, 2)
+def test_op_gradients(name):
     params, f = _fd_cases()[name]
     assert finite_diff_check(f, params, eps=1e-5) < 1e-4
 
 
-def _composed_attention(q, k, v, scale):
-    """The matmul / scale / softmax / matmul chain that `attention` fuses."""
-    return T.softmax((q @ T.transpose(k, (0, 1, 3, 2))) * scale, axis=-1) @ v
-
-
-def _attention_and_grads(fn, q, k, v, scale):
-    with GradientTape() as tape:
-        tape.watch(q, k, v)
-        out = fn(q, k, v, scale)
-        grads = backward(T.sum_(out * out), tape)
-    return out.data, [grads[p] for p in (q, k, v)]
-
-
-class TestAttention:
-    def _inputs(self, dtype, b=3, h=2, t=37, s=29, d=4, dv=5):
-        rng = np.random.default_rng(21)
-        return [Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
-                for shape in ((b, h, t, d), (b, h, s, d), (b, h, s, dv))]
-
-    def test_single_block_bit_identical_to_composed_ops(self):
-        q, k, v = self._inputs(np.float32)
-        scale = 1.0 / np.sqrt(4)
-        out, grads = _attention_and_grads(T.attention, q, k, v, scale)
-        ref_out, ref_grads = _attention_and_grads(_composed_attention, q, k, v, scale)
-        assert np.array_equal(out, ref_out)
-        for g, ref in zip(grads, ref_grads):
-            assert np.array_equal(g, ref)
-
-    # 3712 bytes are 8 query rows of one [2, 37, 29] float64 item, and 37 rows
-    # do not split evenly into 8; 34336 bytes are two whole items of the three
-    @pytest.mark.parametrize("budget,block", [(3712, (1, 8)), (34336, (2, 37))])
-    def test_blocks_match_composed_ops(self, monkeypatch, budget, block):
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
-        assert T._attention_block_size(2, 37, 29, 8) == block
-        q, k, v = self._inputs(np.float64)
-        out, grads = _attention_and_grads(T.attention, q, k, v, 0.5)
-        ref_out, ref_grads = _attention_and_grads(_composed_attention, q, k, v, 0.5)
-        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-14)
-        for g, ref in zip(grads, ref_grads):
-            np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-12)
-
-    def test_backward_replay_with_blocks(self, monkeypatch):
-        # the backward pass recomputes blocks beside the forward's kept one,
-        # so a second replay must see the same probabilities
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 3712)
-        q, k, v = self._inputs(np.float64)
+def test_every_recording_op_has_a_case():
+    # an op records a backward function whose __qualname__ starts with the
+    # op's name, e.g. "conv2d.<locals>.bwd"
+    recording = {name for name, fn in vars(T).items()
+                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                 and "_record" in fn.__code__.co_names}
+    assert {"neg", "conv2d", "linear_attention"} <= recording
+    reached = set()
+    for params, f in _fd_cases().values():
         with GradientTape() as tape:
-            tape.watch(q, k, v)
-            out = T.attention(q, k, v, 0.5)
-            loss = T.sum_(out * out)
-        first = [g.copy() for g in backward(loss, tape).values()]
-        second = list(backward(loss, tape).values())
-        for g1, g2 in zip(first, second):
-            np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12)
-
-    def test_forward_memory_bounded_by_block(self):
-        import tracemalloc
-        rng = np.random.default_rng(22)
-        h, t, d = 4, 2048, 16
-        q, k, v = (Tensor(rng.normal(size=(1, h, t, d)).astype(np.float32)) for _ in range(3))
-        score_bytes = h * t * t * 4      # one full [1, h, t, s] float32 score tensor
-        tracemalloc.start()
-        try:
-            T.attention(q, k, v, 0.25)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < score_bytes / 4
-
-    def test_shape_mismatch_rejected(self):
-        q, k, v = self._inputs(np.float64)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            T.attention(q, v, v, 1.0)
+            f(params)
+        reached |= {bwd.__qualname__.split(".")[0] for _, _, bwd in tape._nodes}
+    assert recording - reached == set()
 
 
 class TestFiniteDiffCheck:
@@ -417,7 +347,7 @@ class TestFiniteDiffCheck:
     def test_nonfinite_reported(self):
         w = Tensor(np.array([0.0]), requires_grad=True, dtype=np.float64)
         with pytest.raises(ValueError, match="non-finite"):
-            finite_diff_check(lambda p: T.sum_(T.log(p[0])), [w], eps=1e-3)
+            finite_diff_check(lambda p: T.sum_(p[0] ** -1.0), [w], eps=1e-3)
 
 
 class TestTensorBasics:
