@@ -66,6 +66,8 @@ def _read_manifest(f, path):
     manifest = json.loads(f.read(mlen).decode("utf-8"))
     if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), list):
         raise ValueError(f"{path}: manifest is not a JSON object with a 'params' list")
+    if not isinstance(manifest.get("config", ""), str):
+        raise ValueError(f"{path}: manifest config {manifest['config']!r} is not a string")
     for i, entry in enumerate(manifest["params"]):
         _check_entry(path, i, entry)
     return manifest

@@ -25,16 +25,14 @@ def write_ppm(path, image):
 def read_ppm(path):
     """Read a binary PPM/PGM into a float32 [c, h, w] array in [0, 1]."""
     with open(path, "rb") as f:
-        magic = _token(f)
+        magic = _token(f, path, "magic")
         if magic == b"P6":
             channels = 3
         elif magic == b"P5":
             channels = 1
         else:
             raise ValueError(f"{path}: not a binary PPM/PGM (magic {magic!r})")
-        w = int(_token(f))
-        h = int(_token(f))
-        maxval = int(_token(f))
+        w, h, maxval = (_int_token(f, path, field) for field in ("width", "height", "maxval"))
         if maxval != 255:
             raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
         if w <= 0 or h <= 0:
@@ -49,19 +47,25 @@ def read_ppm(path):
     return (img.transpose(2, 0, 1).astype(np.float32) / 255.0)
 
 
-def _token(f):
-    """Next whitespace-delimited token, skipping '#' comments."""
+def _int_token(f, path, field):
+    tok = _token(f, path, field)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"{path}: header {field} {tok!r} is not an integer") from None
+
+
+def _token(f, path, field):
+    """Next whitespace-delimited header token, skipping '#' comments; `field`
+    names it in the error for a header that ends first."""
     tok = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ValueError("unexpected end of header")
+            raise ValueError(f"{path}: header ends before its {field}")
         if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
-            continue
-        if ch.isspace():
-            if tok:
-                return tok
-            continue
-        tok += ch
+            f.readline()
+        elif not ch.isspace():
+            tok += ch
+        elif tok:
+            return tok

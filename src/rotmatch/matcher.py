@@ -112,35 +112,15 @@ def _score_blocks(a, b):
         yield rows, a[rows] @ bt
 
 
-def _row_logsumexp(a, b):
-    """Row logsumexps of a @ bᵀ."""
-    out = np.empty(a.shape[0])
-    for rows, s in _score_blocks(a, b):
-        m = s.max(axis=1, keepdims=True)
-        s -= m
-        out[rows] = m[:, 0] + np.log(np.exp(s, out=s).sum(axis=1))
-    return out
-
-
-def _row_argmax(a, b, shift):
-    """argmax_j (2 s_ij - shift_j) of s = a @ bᵀ per row i, and 2 s_ij there."""
-    best = np.empty(a.shape[0], dtype=np.intp)
-    two_s = np.empty(a.shape[0])
-    for rows, s in _score_blocks(a, b):
-        s *= 2                            # exact, so two_s is 2 s_ij itself
-        best[rows] = np.argmax(s - shift, axis=1)
-        two_s[rows] = s[np.arange(s.shape[0]), best[rows]]
-    return best, two_s
-
-
 def mutual_matches(a, b, theta_c):
     """Mutual row/column argmax pairs of the dual-softmax confidence of the
     scores s = a @ bᵀ, with confidence above the threshold.
 
-    No t x s array exists: with r and c the row and column logsumexps of s,
-    conf_ij = exp(2 s_ij - r_i - c_j), so the row argmax of conf is
-    argmax_j (2 s_ij - c_j) and the column argmax is argmax_i (2 s_ij - r_i),
-    and each is a pass over blocks of rows of s or of sᵀ.
+    Two passes over blocks of rows of s, with no t x s array. The first
+    takes one unshifted exp of each block (so |s| has a bound) and sums its
+    rows and columns: the logsumexps r and c. The second GEMMs [2a, -r, 1]
+    with [b, 1, -c] into blocks of the log-confidence L = 2s - r - c, whose
+    row argmaxes and column maxima give the mutual pairs (first index wins).
 
     Args:
         a: [t, d] array, b: [s, d] array.
@@ -148,14 +128,41 @@ def mutual_matches(a, b, theta_c):
     Returns:
         (idx_a, idx_b, confidence) of the kept pairs, in row order.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    r, c = _row_logsumexp(a, b), _row_logsumexp(b, a)
-    row_best, two_s = _row_argmax(a, b, c.astype(a.dtype))
-    col_best, _ = _row_argmax(b, a, r.astype(a.dtype))
-    ia = np.arange(a.shape[0])
-    conf = np.exp(two_s - r - c[row_best])
-    keep = (col_best[row_best] == ia) & (conf > theta_c)
-    return ia[keep], row_best[keep], conf[keep].astype(a.dtype)
+    dt = np.result_type(a, b, np.float32)
+    a, b = np.asarray(a, dt), np.asarray(b, dt)
+    t, s = a.shape[0], b.shape[0]
+    # |s_ij| <= |a_i| |b_j|, and every sum of max(t, s) exps must stay normal;
+    # NaN features pass, and match nothing (a diverged training step)
+    reach = np.linalg.norm(a, axis=1).max() * np.linalg.norm(b, axis=1).max()
+    bound = min(-np.log(np.finfo(dt).tiny), np.log(np.finfo(dt).max / max(t, s)))
+    if reach > bound:
+        raise ValueError(f"mutual_matches: scores reach up to {reach:.4g} in magnitude; "
+                         f"{dt} exp sums over {max(t, s)} tokens need at most {bound:.4g}")
+    r, c = np.empty(t), np.zeros(s)
+    for rows, e in _score_blocks(a, b):
+        np.exp(e, out=e)
+        r[rows] = e.sum(axis=1)
+        c += np.ones(e.shape[0], dt) @ e
+    r, c = np.log(r), np.log(c)
+    a2 = np.concatenate([2 * a, -r[:, None], np.ones((t, 1))], axis=1, dtype=dt)
+    b2 = np.concatenate([b, np.ones((s, 1)), -c[:, None]], axis=1, dtype=dt)
+    # a row is mutual if it is its block's first at its column's block maximum
+    # and its block is the first to reach the column's running maximum
+    best, block, first = np.empty(t, np.intp), np.empty(t, np.intp), np.zeros(t, bool)
+    col_max, col_block = np.full(s, -np.inf, dt), np.zeros(s, np.intp)
+    for k, (rows, L) in enumerate(_score_blocks(a2, b2)):
+        j, m = L.argmax(axis=1), L.max(axis=0)
+        cand = np.nonzero(L[np.arange(L.shape[0]), j] == m[j])[0]
+        first[rows.start + cand] = L[:, j[cand]].argmax(axis=0) == cand
+        best[rows], block[rows] = j, k
+        new = m > col_max
+        col_max[new], col_block[new] = m[new], k
+    ia = np.nonzero(first & (col_block[best] == block))[0]
+    ib = best[ia]
+    conf = np.exp(2 * np.einsum("ij,ij->i", a[ia], b[ib], dtype=np.float64)   # in float64
+                  - r[ia] - c[ib])
+    keep = conf > theta_c
+    return ia[keep], ib[keep], conf[keep].astype(dt)
 
 
 def l2_normalize(x, eps=1e-8):

@@ -318,10 +318,32 @@ def matmul(a, b):
     return _record(out, (a, b), bwd)
 
 
+# numpy's max over a short last axis pays a per-row cost many times its
+# per-element one: with at least 24 n rows of n <= SHORT_ROW, one np.maximum
+# per column, over runs of MAX_RUN_ROWS rows that stay in cache, is cheaper
+SHORT_ROW, MAX_RUN_ROWS = 32, 8192
+
+
+def _max_keepdims(x, axis):
+    """x.max(axis=axis, keepdims=True), bit for bit (a max is exact in any
+    order), with no temporary larger than the result."""
+    n = x.shape[axis]
+    if axis % x.ndim != x.ndim - 1 or not 0 < n <= SHORT_ROW or x.size < 24 * n * n:
+        return x.max(axis=axis, keepdims=True)
+    m = np.empty(x.shape[:-1] + (1,), x.dtype)
+    run = max(1, MAX_RUN_ROWS * x.shape[0] * n // x.size)   # leading indices per run
+    for i in range(0, x.shape[0], run):
+        xs, ms = x[i:i + run], m[i:i + run]
+        ms[...] = xs[..., :1]
+        for k in range(1, n):
+            np.maximum(ms, xs[..., k:k + 1], out=ms)
+    return m
+
+
 def softmax_into(x, axis, out):
     """Softmax of array `x` along `axis`, written to `out` (which may be `x`)
     with no other full-size temporary. Plain numpy, not differentiable."""
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.subtract(x, _max_keepdims(x, axis), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out

@@ -81,6 +81,7 @@ class TestCheckpointFormat:
          "manifest entry 'x': width 2 is not 4 or 8"),
         ({"params": [{"name": "x", "shape": [-2], "width": 4}]},
          "manifest entry 'x': shape [-2] is not a list of non-negative integers"),
+        ({"params": [], "config": 5}, "manifest config 5 is not a string"),
     ])
     def test_malformed_manifest_rejected(self, tmp_path, manifest, message):
         path = tmp_path / "m.rmckpt"

@@ -58,6 +58,27 @@ class TestImageIO:
         with pytest.raises(ValueError, match="image size .* is not positive"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header,field", [(b"P6\nabc 3\n255\n", "width"),
+                                              (b"P6\n4 3.5\n255\n", "height"),
+                                              (b"P5\n4 3\nff\n", "maxval")])
+    def test_non_numeric_header_field_rejected(self, tmp_path, header, field):
+        path = tmp_path / "n.ppm"
+        path.write_bytes(header + bytes(36))
+        with pytest.raises(ValueError) as err:
+            read_ppm(path)
+        assert str(err.value).startswith(f"{path}: header {field} ")
+        assert str(err.value).endswith("is not an integer")
+
+    @pytest.mark.parametrize("header,field", [(b"", "magic"), (b"P6\n4 ", "height"),
+                                              (b"P6 # 4 3 255\n", "width"),
+                                              (b"P6\n4 3\n255", "maxval")])
+    def test_header_ending_early_names_file_and_field(self, tmp_path, header, field):
+        path = tmp_path / "e.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError) as err:
+            read_ppm(path)
+        assert str(err.value) == f"{path}: header ends before its {field}"
+
     def test_truncated_body_rejected_before_reading(self, tmp_path):
         # the header names 75 MB of pixels; 10 bytes follow it
         path = tmp_path / "t.ppm"

@@ -116,6 +116,90 @@ class TestMutualMatches:
             assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=0, atol=1e-12)
         assert len(mutual_matches(a, b, 0.2)[0]) >= 10
 
+    @pytest.mark.parametrize("rows", [53, 7, 1])
+    def test_two_passes_over_score_blocks(self, rows, monkeypatch):
+        # every block of rows of the scores is computed at most twice
+        rng = np.random.default_rng(17)
+        t, s, d = 53, 41, 8
+        a, b = rng.normal(size=(t, d)), rng.normal(size=(s, d))
+        made = []
+        blocks = M._score_blocks
+
+        def counted(x, y):
+            for sl, block in blocks(x, y):
+                made.append(block.shape[0])
+                yield sl, block
+
+        monkeypatch.setattr(M, "_score_blocks", counted)
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
+        mutual_matches(a, b, 0.0)
+        assert sum(made) <= 2 * t
+
+    @pytest.mark.parametrize("rows", [12, 5, 1])
+    def test_ties_first_index_wins(self, rows, monkeypatch):
+        # rows 0 and 5 of a are equal, and so are rows 2 and 7 of b, so each
+        # tie sits in a row and in a column of the confidence
+        rng = np.random.default_rng(18)
+        t, s, d = 12, 10, 6
+        b = rng.normal(size=(s, d))
+        b[7] = b[2]
+        a = 3.0 * b[rng.permutation(s)[:t % s].tolist() + list(range(s))]
+        a[5] = a[0] = 3.0 * b[2]
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
+        conf = dual_softmax(a @ b.T).data
+        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
+        ref_a = np.nonzero(col_best[row_best] == np.arange(t))[0]
+        ia, ib, c = mutual_matches(a, b, 0.0)
+        assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
+        assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=0, atol=1e-12)
+        assert 0 in ia and 5 not in ia and ib[list(ia).index(0)] == 2 and 7 not in ib
+
+    def test_float32_at_matcher_scale(self):
+        # unit b, a = unit / TEMPERATURE, as `select` calls it, against a
+        # float64 dense reference
+        rng = np.random.default_rng(19)
+        t, s, d = 400, 360, 32
+
+        def unit(x):
+            return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+        b = unit(rng.normal(size=(s, d)))
+        a = unit(np.concatenate([b[rng.permutation(s)[:250]] + 0.1 * rng.normal(size=(250, d)),
+                                 rng.normal(size=(t - 250, d))])) / M.TEMPERATURE
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+        conf = dual_softmax(a32.astype(np.float64) @ b32.astype(np.float64).T).data
+        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
+        mutual = col_best[row_best] == np.arange(t)
+        ref_a = np.nonzero(mutual & (conf[np.arange(t), row_best] > 0.2))[0]
+        ia, ib, c = mutual_matches(a32, b32, 0.2)
+        assert c.dtype == np.float32 and len(ia) >= 200
+        assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
+        assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=1e-5, atol=0)
+
+    def test_score_range_exact_or_rejected(self):
+        # float32 rows of norm 50 against unit rows: scores span [-50, 50],
+        # within the float32 exp sums of 300 tokens; norm 100 is not
+        rng = np.random.default_rng(20)
+        t, s, d = 300, 280, 16
+
+        def unit(x):
+            return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+        b = unit(rng.normal(size=(s, d))).astype(np.float32)
+        a = unit(rng.normal(size=(t, d))).astype(np.float32)
+        conf = dual_softmax(50.0 * a.astype(np.float64) @ b.astype(np.float64).T).data
+        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
+        ref_a = np.nonzero(col_best[row_best] == np.arange(t))[0]
+        ia, ib, c = mutual_matches(50.0 * a, b, 0.0)
+        assert np.isfinite(c).all() and len(ia) >= 100
+        assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
+        assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=1e-5, atol=1e-30)
+        with pytest.raises(ValueError, match=r"300 tokens need at most 83\.02"):
+            mutual_matches(100.0 * a, b, 0.0)
+        # NaN features (a diverged training step) match nothing
+        nan = np.full((t, d), np.nan, np.float32)
+        assert all(len(x) == 0 for x in mutual_matches(nan, b, 0.0))
+
     def test_large_match_holds_no_full_matrix(self):
         # 4800 x 4800 tokens (480x640 images); one t x s float32 matrix is 92 MB
         rng = np.random.default_rng(15)

@@ -385,3 +385,41 @@ class TestTensorBasics:
             assert not thread.is_alive()
             assert len(tape._nodes) == 1
         assert worker_nodes == [2]
+
+
+class TestSoftmaxInto:
+    @staticmethod
+    def _reference(x, axis):
+        out = np.exp(x - x.max(axis=axis, keepdims=True))
+        return out / out.sum(axis=axis, keepdims=True)
+
+    @pytest.mark.parametrize("shape", [(39, 4, 25, 25), (400, 4, 25, 25), (2, 4, 25, 25),
+                                       (3000, 8), (700, 32), (700, 33), (25,)])
+    def test_bit_identical_to_plain_max(self, shape):
+        # short rows take their max column by column; a max is exact in any
+        # order, so every axis, layout and non-finite value gives numpy's
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=shape).astype(np.float32) * 5
+        x.flat[::97] = np.inf
+        x.flat[::101] = -np.inf
+        x.flat[::131] = np.nan
+        for view in (x, x[::2], x.T):
+            for axis in range(-view.ndim, view.ndim):
+                assert np.array_equal(T._max_keepdims(view, axis),
+                                      view.max(axis=axis, keepdims=True), equal_nan=True)
+                with np.errstate(invalid="ignore"):
+                    got = T.softmax_into(view, axis, np.empty_like(view))
+                    want = self._reference(view, axis)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_short_rows_hold_no_full_size_temporary(self):
+        # 40000 rows of 25: the max needs no array larger than its result
+        import tracemalloc
+        x = np.random.default_rng(22).normal(size=(400, 4, 25, 25)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            T._max_keepdims(x, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes / 25
