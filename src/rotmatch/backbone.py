@@ -76,8 +76,8 @@ class ResBlock(Module):
             self.proj_bn = None
 
     def __call__(self, x):
-        y = self.bn2(self.conv2(T.relu(self.bn1(self.conv1(x)))))
-        skip = self.proj_bn(self.proj(x)) if self.proj is not None else x
+        y = self.conv2(T.relu(self.conv1(x, self.bn1)), self.bn2)
+        skip = self.proj(x, self.proj_bn) if self.proj is not None else x
         return T.relu(y + skip)
 
 
@@ -126,15 +126,15 @@ class Backbone(Module):
         b, c, h, w = x.shape
         if h % COARSE_STRIDE or w % COARSE_STRIDE:
             raise ValueError(f"backbone requires spatial dims divisible by 8, got {h}x{w}")
-        x1 = T.relu(self.stem_bn(self.stem(x)))   # 1/2
+        x1 = T.relu(self.stem(x, self.stem_bn))   # 1/2
         f1 = self.block1(x1)                      # 1/2
         f2 = self.block2(f1)                      # 1/4
         f3 = self.block3(f2)                      # 1/8
         coarse = self.coarse_head(f3)
         u2 = T.upsample_nearest2x(f3) + self.lateral2(f2)
-        u2 = T.relu(self.smooth2_bn(self.smooth2(u2)))          # 1/4
+        u2 = T.relu(self.smooth2(u2, self.smooth2_bn))          # 1/4
         u1 = T.upsample_nearest2x(u2) + self.lateral1(f1)
-        u1 = T.relu(self.smooth1_bn(self.smooth1(u1)))          # 1/2
+        u1 = T.relu(self.smooth1(u1, self.smooth1_bn))          # 1/2
         fine = self.fine_head(u1)
         return coarse, fine
 

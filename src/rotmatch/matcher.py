@@ -126,11 +126,14 @@ def mutual_matches(a, b, theta_c):
         a: [t, d] array, b: [s, d] array.
 
     Returns:
-        (idx_a, idx_b, confidence) of the kept pairs, in row order.
+        (idx_a, idx_b, confidence) of the kept pairs, in row order; empty
+        when either side has no rows.
     """
     dt = np.result_type(a, b, np.float32)
     a, b = np.asarray(a, dt), np.asarray(b, dt)
     t, s = a.shape[0], b.shape[0]
+    if not t or not s:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dt)
     # |s_ij| <= |a_i| |b_j|, and every sum of max(t, s) exps must stay normal;
     # NaN features pass, and match nothing (a diverged training step)
     reach = np.linalg.norm(a, axis=1).max() * np.linalg.norm(b, axis=1).max()

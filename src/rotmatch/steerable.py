@@ -27,6 +27,11 @@ expansion table of a stride-2 layer yields the (k+1) x (k+1) bank of the
 k x k convolution followed by the 2x2 box, and that bank is convolved at
 stride 2 with the same padding. It is the same linear map, computed
 without the three quarters of outputs the pool would drop.
+
+In eval mode `conv(x, norm)` folds the norm, a per-field affine map a·x + c,
+into the conv: the bank's output channels are scaled by a and c joins the
+bias, so the bank stays equivariant and the map is one conv2d pass. Training
+mode runs the conv, then the batch-statistics norm.
 """
 
 import numpy as np
@@ -157,24 +162,32 @@ class EquivConv(Module):
         idx, w, shape = self._taps
         return T.sparse_taps(self.base, idx, w, shape)
 
-    def __call__(self, x):
+    def __call__(self, x, norm=None):
+        """Convolve x, then apply `norm` (an InnerBatchNorm of the output
+        type) if given, folded into the bank and bias in eval mode."""
         if x.shape[1] != self.in_type.channel_count:
             raise ValueError(f"{self.kind} conv expects {self.in_type.channel_count} "
                              f"channels, got {x.shape[1]}")
         if self.stride == 2 and (x.shape[2] % 2 or x.shape[3] % 2):
             raise ValueError(f"stride-2 {self.kind} conv requires even height and width, "
                              f"got {x.shape[2]}x{x.shape[3]}")
+        if norm is not None and norm.ft != self.out_type:
+            raise ValueError(f"norm of {norm.ft} cannot follow a conv to {self.out_type}")
         if self.kind == "readout":
             b, _, h, w = x.shape
             ft = self.in_type
-            pooled = T.sum_(T.reshape(x, (b, ft.fields, ft.width, h, w)), axis=2)
-            y = T.conv2d(pooled, self.base, stride=1, padding=0)
+            x = T.sum_(T.reshape(x, (b, ft.fields, ft.width, h, w)), axis=2)
+            bank = self.base
         else:
-            y = T.conv2d(x, self.filter_bank(), stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            bias_c = T.index(self.bias, self.out_type.field_of_channel())
-            y = y + T.reshape(bias_c, (1, self.out_type.channel_count, 1, 1))
-        return y
+            bank = self.filter_bank()
+        bias = None if self.bias is None else T.index(self.bias, self.out_type.field_of_channel())
+        if norm is not None and not norm.training:
+            a, c = norm.affine()
+            bank = bank * T.reshape(a, (-1, 1, 1, 1))
+            bias = c if bias is None else bias * a + c
+            norm = None
+        y = T.conv2d(x, bank, stride=self.stride, padding=self.padding, bias=bias)
+        return y if norm is None else norm(y)
 
 
 class InnerBatchNorm(Module):
@@ -183,6 +196,9 @@ class InnerBatchNorm(Module):
     One (scale, bias, running mean, running var) tuple per field: per
     regular field (its N group channels) and per trivial channel, so
     group-channel permutations of the input permute the output identically.
+
+    In eval mode it is the affine map of `affine()`: two full-map passes on
+    its own, none when the EquivConv before it folds it in (`conv(x, norm)`).
     """
 
     def __init__(self, ft, eps=1e-5, momentum=0.1, dtype=np.float32):
@@ -203,6 +219,16 @@ class InnerBatchNorm(Module):
         return T.reshape(T.index(field_values, self.ft.field_of_channel()),
                          (1, self.ft.channel_count, 1, 1))
 
+    def affine(self):
+        """Per-channel (a, c), each [channels], with eval-mode norm(x) = a·x + c:
+        a = scale / sqrt(running_var + eps), c = shift - running_mean·a, per
+        field. Built from tape ops, so gradients reach scale and shift."""
+        inv = Tensor(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
+        a = self.scale * inv
+        c = self.shift - Tensor(self._buffers["running_mean"]) * a
+        idx = self.ft.field_of_channel()
+        return T.index(a, idx), T.index(c, idx)
+
     def __call__(self, x):
         if x.shape[1] != self.ft.channel_count:
             raise ValueError(f"InnerBatchNorm expects {self.ft.channel_count} channels, "
@@ -222,9 +248,9 @@ class InnerBatchNorm(Module):
             inv = (var + self.eps) ** -0.5
             xhat = (x - self._per_channel(mu)) * self._per_channel(inv)
         else:
-            rm = Tensor(self._buffers["running_mean"])
-            inv = Tensor(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
-            xhat = (x - self._per_channel(rm)) * self._per_channel(inv)
+            a, c = self.affine()
+            shape = (1, self.ft.channel_count, 1, 1)
+            return x * T.reshape(a, shape) + T.reshape(c, shape)
         return xhat * self._per_channel(self.scale) + self._per_channel(self.shift)
 
 

@@ -205,10 +205,10 @@ def pow_scalar(a, p):
 
 
 def relu(a):
-    """Pointwise max(x, 0)."""
-    mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0))
-    return _record(out, (a,), lambda g: (g * mask,))
+    """Pointwise max(x, 0), bit for bit np.where(x > 0, x, 0): NaN and -0.0
+    give +0."""
+    out = Tensor(np.fmax(a.data, 0))
+    return _record(out, (a,), lambda g: (g * (a.data > 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +447,13 @@ def layer_norm(a, gain, bias, eps=1e-5):
 # ---------------------------------------------------------------------------
 # convolution / resampling
 
-# Bytes of per-tap products `conv2d` computes before adding them up: a run of
-# output positions of this size is worked through all taps while it is in
-# cache.
+# Bytes of one run of `conv2d`: the forward pass stacks a run's k*k shifted
+# input slices, the backward pass computes its per-tap products, while the
+# run is in cache.
 CONV_BLOCK_BYTES = 1 << 20
 
 
-def conv2d(x, kernel, stride=1, padding=0):
+def conv2d(x, kernel, stride=1, padding=0, bias=None):
     """2-D cross-correlation (no kernel flip), zero padding.
 
     Args:
@@ -461,20 +461,23 @@ def conv2d(x, kernel, stride=1, padding=0):
         kernel: Tensor [c_out, c_in, k, k], any k >= 1.
         stride: positive int.
         padding: non-negative int, zeros on all four sides.
+        bias: optional Tensor [c_out], added to every output position.
 
     Returns:
         Tensor [batch, c_out, h', w'] with h' = (h + 2*padding - k)//stride + 1.
 
-    Flat-shift form, with no im2col matrix: the input is zero-padded once
-    and split into its stride x stride polyphase parts xp[:, :, a::s, c::s],
-    each flattened to [b, c_in, H*W]. Part (a, c) is convolved at stride 1
-    with the taps kernel[:, :, a::s, c::s]; kernel tap (u, v) reads the
-    contiguous slice at offset (u//s)*W + v//s, so each tap is one
-    [c_out, c_in] @ [c_in, h'*W] GEMM accumulated into the output, whose
-    W - w' junk columns per row are dropped. The backward pass runs the
-    same slices: one g @ sliceᵀ GEMM per tap for the kernel gradient and
-    kernelᵀ @ g added at the tap's offset for the input gradient. Both
-    passes work through the output positions in runs of CONV_BLOCK_BYTES.
+    Flat-shift form, with no full im2col matrix: the input is zero-padded
+    once and split into its stride x stride polyphase parts
+    xp[:, :, a::s, c::s], each flattened to [b, c_in, H*W]. Part (a, c) is
+    convolved at stride 1 with the taps kernel[:, :, a::s, c::s]; kernel tap
+    (u, v) reads the contiguous slice at offset (u//s)*W + v//s, and the
+    W - w' junk columns per output row are dropped. The forward pass works
+    through the output positions in runs: it copies a run's k*k tap slices
+    into one [b, k*k*c_in, run] buffer of at most CONV_BLOCK_BYTES, makes one
+    [c_out, k*k*c_in] GEMM of it and adds the bias there. The backward pass
+    runs the same slices per tap: one g @ sliceᵀ GEMM per tap for the kernel
+    gradient and kernelᵀ @ g added at the tap's offset for the input
+    gradient, in runs of CONV_BLOCK_BYTES of per-tap products.
     """
     b, ci, h, w = x.data.shape
     co, cik, k, kw = kernel.data.shape
@@ -486,6 +489,8 @@ def conv2d(x, kernel, stride=1, padding=0):
         raise ValueError("conv2d requires stride >= 1 and padding >= 0")
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ValueError("conv2d input smaller than kernel after padding")
+    if bias is not None and bias.shape != (co,):
+        raise ValueError(f"conv2d bias must have shape ({co},), got {bias.shape}")
 
     s, p = stride, padding
     dtype = np.result_type(x.data, kernel.data)   # a float32 image meets float64 kernels
@@ -505,22 +510,22 @@ def conv2d(x, kernel, stride=1, padding=0):
     n = (ho - 1) * ws + wo     # output positions from the first to the last kept one
     taps = [(u, v, u % s, v % s, (u // s) * ws + v // s) for v in range(k) for u in range(k)]
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))    # [k, k, co, ci]
+    kstack = np.concatenate([kt[u, v] for u, v, *_ in taps], axis=1)   # [co, k*k*ci]
 
-    # runs of output positions whose per-tap products stay in cache
-    run = max(1, CONV_BLOCK_BYTES // (b * max(co, ci) * dtype.itemsize))
-    runs = [(r0, min(r0 + run, n)) for r0 in range(0, n, run)]
+    def runs(width):
+        run = max(1, CONV_BLOCK_BYTES // (b * width * dtype.itemsize))
+        return [(r0, min(r0 + run, n)) for r0 in range(0, n, run)]
 
     acc = np.empty((b, co, ho * ws), dtype=dtype)
-    tmp = np.empty((b, co, min(run, n)), dtype=dtype)
-    for r0, r1 in runs:
-        t = tmp[:, :, :r1 - r0]
+    fwd_runs = runs(max(co, k * k * ci))
+    stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype)
+    for r0, r1 in fwd_runs:
+        st = stack[:, :, :r1 - r0]
         for i, (u, v, a, c, off) in enumerate(taps):
-            src = parts[a, c, :, :, off + r0:off + r1]
-            if i == 0:
-                np.matmul(kt[u, v], src, out=acc[:, :, r0:r1])
-            else:
-                np.matmul(kt[u, v], src, out=t)
-                acc[:, :, r0:r1] += t
+            st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
+        np.matmul(kstack, st, out=acc[:, :, r0:r1])
+        if bias is not None:
+            acc[:, :, r0:r1] += bias.data[:, None]
     out = Tensor(acc.reshape(b, co, ho, ws)[:, :, :, :wo])
 
     def bwd(g):
@@ -529,8 +534,9 @@ def conv2d(x, kernel, stride=1, padding=0):
         gf = gp.reshape(b, co, ho * ws)
         gk = np.zeros_like(kt)
         gparts = np.zeros_like(parts) if x.requires_grad else None
-        gtmp = np.empty((b, ci, min(run, n)), dtype=dtype)
-        for r0, r1 in runs:
+        bwd_runs = runs(max(co, ci))
+        gtmp = np.empty((b, ci, bwd_runs[0][1]), dtype=dtype)
+        for r0, r1 in bwd_runs:
             gr, t = gf[:, :, r0:r1], gtmp[:, :, :r1 - r0]
             for u, v, a, c, off in taps:
                 src = parts[a, c, :, :, off + r0:off + r1]
@@ -543,9 +549,11 @@ def conv2d(x, kernel, stride=1, padding=0):
             gxp = np.zeros((b, ci, hs, s, ws, s), dtype=x.dtype)
             gxp[:, :, :, :m, :, :m] = gparts.reshape(m, m, b, ci, hs, ws).transpose(2, 3, 4, 0, 5, 1)
             gx = np.ascontiguousarray(gxp.reshape(b, ci, hs * s, ws * s)[:, :, p:p + h, p:p + w])
-        return gx, np.ascontiguousarray(gk.transpose(2, 3, 0, 1))
+        gb = () if bias is None else (g.sum(axis=(0, 2, 3)),)
+        return (gx, np.ascontiguousarray(gk.transpose(2, 3, 0, 1))) + gb
 
-    return _record(out, (x, kernel), bwd)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _record(out, parents, bwd)
 
 
 def upsample_nearest2x(x):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import rotmatch
 from rotmatch.backbone import Backbone, BackboneConfig, extract
 from rotmatch.nn import param_count
 from rotmatch.tensor import Tensor
@@ -239,3 +244,42 @@ class TestInvariance:
     def test_doubled_width_keeps_invariance(self):
         dev_c, dev_f = self._rot_dev("c4star", base_width=32)
         assert dev_c <= 1e-3 and dev_f <= 1e-3
+
+
+# Eval-mode forward passes of an acceptance-config c4star model (criterion 8's
+# widths), norms calibrated on each pair first; one sha256 per pair size.
+_FORWARD_HASHES = """
+import hashlib
+import numpy as np
+from rotmatch.config import Config
+from rotmatch.model import MatcherModel
+from rotmatch.steerable import calibrate_norm_stats
+from rotmatch.tensor import Tensor
+
+cfg = Config.default()
+cfg.backbone.variant = "c4star"
+cfg.backbone.base_width = 24
+cfg.matcher.d_model = 32
+cfg.matcher.n_blocks = 2
+model = MatcherModel(cfg, rng=np.random.default_rng(0))
+rng = np.random.default_rng(1)
+for h, w in ((96, 96), (240, 320)):
+    pair = Tensor(rng.random((2, 3, h, w)).astype(np.float32))
+    calibrate_norm_stats(model.backbone, pair)
+    coarse, fine = model.eval().features(pair)
+    print(h, w, hashlib.sha256(coarse.data.tobytes() + fine.data.tobytes()).hexdigest())
+"""
+
+
+def test_inference_independent_of_blas_threads():
+    # OpenBLAS splits a GEMM's output between threads, never its sums; the
+    # conv GEMM shapes must keep inference bit-identical across thread counts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rotmatch.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _FORWARD_HASHES], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert len(out[0]) == 6 and out[0] == out[1]

@@ -200,6 +200,15 @@ class TestMutualMatches:
         nan = np.full((t, d), np.nan, np.float32)
         assert all(len(x) == 0 for x in mutual_matches(nan, b, 0.0))
 
+    @pytest.mark.parametrize("t, s", [(0, 5), (5, 0)])
+    def test_empty_side_matches_nothing(self, t, s):
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(t, 4)).astype(np.float32)
+        b = rng.normal(size=(s, 4)).astype(np.float32)
+        ia, ib, c = mutual_matches(a, b, 0.0)
+        assert ia.shape == ib.shape == c.shape == (0,)
+        assert ia.dtype == ib.dtype == np.intp and c.dtype == np.float32
+
     def test_large_match_holds_no_full_matrix(self):
         # 4800 x 4800 tokens (480x640 images); one t x s float32 matrix is 92 MB
         rng = np.random.default_rng(15)

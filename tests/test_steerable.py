@@ -367,3 +367,87 @@ class TestGradients:
         assert finite_diff_check(f, [x], eps=1e-5) < 1e-4
         assert finite_diff_check(lambda p: T.sum_(bn(x) * wfield),
                                  [bn.scale, bn.shift], eps=1e-5) < 1e-4
+
+
+def _eval_norm(ft, rng, dtype=np.float32):
+    """An eval-mode InnerBatchNorm with non-trivial statistics, scale and shift."""
+    bn = InnerBatchNorm(ft, dtype=dtype)
+    bn.scale.data[:] = rng.normal(1.0, 0.5, size=ft.fields)
+    bn.shift.data[:] = rng.normal(size=ft.fields)
+    bn._buffers["running_mean"][:] = rng.normal(size=ft.fields)
+    bn._buffers["running_var"][:] = rng.uniform(0.2, 3.0, size=ft.fields)
+    return bn.eval()
+
+
+def _folding_layer(kind, group, stride, bias, rng, dtype=np.float32):
+    if kind == "lift":
+        in_t, out_t, k = FieldType.trivial(group, 3), FieldType.regular(group, 3), 3
+    elif kind == "group":
+        in_t, out_t, k = FieldType.regular(group, 2), FieldType.regular(group, 3), 3
+    else:
+        in_t, out_t, k = FieldType.regular(group, 2), FieldType.trivial(group, 5), 1
+    layer = EquivConv(in_t, out_t, k, stride=stride, bias=bias, rng=rng, dtype=dtype)
+    if bias:
+        layer.bias.data[:] = rng.normal(size=layer.bias.shape)
+    return layer.eval()
+
+
+class TestEvalFolding:
+    """In eval mode `conv(x, norm)` folds the norm into the bank and bias."""
+
+    CASES = [(kind, stride) for kind in ("lift", "group") for stride in (1, 2)] + [("readout", 1)]
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("group", [C4, C8])
+    @pytest.mark.parametrize("kind, stride", CASES)
+    def test_equals_norm_after_conv(self, kind, stride, group, bias):
+        rng = np.random.default_rng(40 + stride)
+        layer = _folding_layer(kind, group, stride, bias, rng)
+        bn = _eval_norm(layer.out_type, rng)
+        x = Tensor(rng.normal(size=(2, layer.in_type.channel_count, 10, 12)).astype(np.float32))
+        got = layer(x, bn).data
+        ref = bn(layer(x)).data
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_training_mode_uses_batch_statistics(self):
+        rng = np.random.default_rng(43)
+        layer = _folding_layer("group", C4, 1, False, rng).train()
+        bn = _eval_norm(layer.out_type, rng).train()
+        x = Tensor(rng.normal(size=(2, 8, 6, 6)).astype(np.float32))
+        ref = InnerBatchNorm(layer.out_type)
+        ref.scale.data[:], ref.shift.data[:] = bn.scale.data, bn.shift.data
+        assert np.array_equal(layer(x, bn).data, ref(layer(x)).data)
+
+    def test_mismatched_norm_rejected(self):
+        layer = EquivConv(FieldType.regular(C4, 2), FieldType.regular(C4, 3), 3)
+        with pytest.raises(ValueError, match="cannot follow a conv"):
+            layer(Tensor(np.zeros((1, 8, 6, 6), np.float32)),
+                  InnerBatchNorm(FieldType.regular(C4, 2)).eval())
+
+    @pytest.mark.parametrize("kind, stride", [("group", 2), ("readout", 1)])
+    def test_folded_gradcheck(self, kind, stride):
+        rng = np.random.default_rng(44)
+        layer = _folding_layer(kind, C4, stride, True, rng, dtype=np.float64)
+        bn = _eval_norm(layer.out_type, rng, dtype=np.float64)
+        x = Tensor(rng.normal(size=(1, layer.in_type.channel_count, 6, 6)), dtype=np.float64)
+        w = Tensor(rng.normal(size=layer(x, bn).shape), dtype=np.float64)
+        params = [layer.base, layer.bias, bn.scale, bn.shift]
+        assert finite_diff_check(lambda p: T.sum_(layer(x, bn) * w), params, eps=1e-5) < 1e-4
+
+    def test_match_pair_writes_nothing_into_the_model(self):
+        from rotmatch.config import Config
+        from rotmatch.model import MatcherModel
+        from rotmatch.steerable import calibrate_norm_stats
+        cfg = Config.default()
+        cfg.backbone.base_width = 8
+        cfg.backbone.coarse_dim = 16
+        cfg.backbone.fine_dim = 8
+        cfg.matcher.d_model = 16
+        model = MatcherModel(cfg, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(45)
+        calibrate_norm_stats(model.backbone, Tensor(rng.random((2, 3, 32, 32)).astype(np.float32)))
+        before = {k: v.tobytes() for k, v in model.state_dict().items()}
+        model.match_pair(rng.random((3, 32, 32)), rng.random((3, 32, 32)))
+        assert {k: v.tobytes() for k, v in model.state_dict().items()} == before
+        assert model.training

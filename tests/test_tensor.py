@@ -29,6 +29,24 @@ def conv2d_loop(x, k, stride, padding):
     return out
 
 
+def conv2d_loop_grads(x, k, stride, padding, g):
+    """Per-tap oracle of conv2d's input and kernel gradients for the output
+    gradient g."""
+    b, ci, h, w = x.shape
+    _, _, kk, _ = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    ho, wo = g.shape[2:]
+    for u in range(kk):
+        for v in range(kk):
+            rows = slice(u, u + stride * (ho - 1) + 1, stride)
+            cols = slice(v, v + stride * (wo - 1) + 1, stride)
+            gk[:, :, u, v] = np.einsum("boij,bcij->oc", g, xp[:, :, rows, cols])
+            gxp[:, :, rows, cols] += np.einsum("boij,oc->bcij", g, k[:, :, u, v])
+    return gxp[:, :, padding:padding + h, padding:padding + w], gk
+
+
 class TestConv2d:
     def test_scalar_scaling(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3))
@@ -107,6 +125,65 @@ class TestConv2d:
         assert y.data.shape == ref.shape
         rel = np.abs(y.data - ref) / np.maximum(np.abs(ref), 1e-9)
         assert rel.max() < 1e-6
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_runs_and_bias_against_loop_oracle(self, k, stride, bias, monkeypatch):
+        # c_out = 32 >= k*k*c_in, so both passes work in runs of
+        # 4096 / (2 * 32 * 8) = 8 output positions, and in every case here
+        # several runs with a short last one; 1x1 kernels get no padding, so
+        # the last run reads the image, not zero rows
+        pad = min(k // 2, 1)
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        rng = np.random.default_rng(10 * k + stride)
+        x = rng.normal(size=(2, 2, 9, 11))
+        kern = rng.normal(size=(32, 2, k, k))
+        bvec = rng.normal(size=32) if bias else None
+        xt = Tensor(x, requires_grad=True, dtype=np.float64)
+        kt = Tensor(kern, requires_grad=True, dtype=np.float64)
+        params = [xt, kt]
+        if bias:
+            params.append(Tensor(bvec, requires_grad=True, dtype=np.float64))
+        with GradientTape() as tape:
+            tape.watch(*params)
+            y = T.conv2d(xt, kt, stride=stride, padding=pad, bias=params[2] if bias else None)
+            g = rng.normal(size=y.shape)
+            grads = backward(T.sum_(y * Tensor(g, dtype=np.float64)), tape)
+        ref = conv2d_loop(x, kern, stride=stride, padding=pad)
+        ref_gx, ref_gk = conv2d_loop_grads(x, kern, stride, pad, g)
+        if bias:
+            ref = ref + bvec[None, :, None, None]
+        checks = [(y.data, ref), (grads[xt], ref_gx), (grads[kt], ref_gk)]
+        if bias:
+            checks.append((grads[params[2]], g.sum(axis=(0, 2, 3))))
+        for got, want in checks:
+            assert got.shape == want.shape
+            assert (np.abs(got - want) / np.maximum(np.abs(want), 1e-9)).max() < 1e-6
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 1, 1))),
+                     bias=Tensor(np.zeros(2)))
+
+
+class TestRelu:
+    def test_bit_identical_to_where(self):
+        x = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.5, -2.5, 1e-45, -1e-45],
+                     dtype=np.float32)
+        x = np.concatenate([x, np.random.default_rng(0).normal(size=1000).astype(np.float32)])
+        got = T.relu(Tensor(x)).data
+        want = np.where(x > 0, x, 0)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_gradient_masks_non_positive_inputs(self):
+        x = Tensor(np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 2.0, -3.0]),
+                   requires_grad=True, dtype=np.float64)
+        with GradientTape() as tape:
+            tape.watch(x)
+            grads = backward(T.sum_(T.relu(x) * Tensor(np.arange(1.0, 8.0))), tape)
+        assert np.array_equal(grads[x], [0, 0, 0, 4, 0, 6, 0])
 
 
 class TestMapPixelCenters:
@@ -286,6 +363,9 @@ def _fd_cases():
                       lambda p: T.sum_(T.conv2d(p[0], p[1], stride=2, padding=1) ** 2.0)),
         "conv2d_k1": ([r(2, 3, 7, 9), r(2, 3, 1, 1)],
                       lambda p: T.sum_(T.conv2d(p[0], p[1]) ** 2.0)),
+        "conv2d_bias": ([r(2, 2, 6, 6), r(3, 2, 3, 3), r(3)],
+                        lambda p: T.sum_(T.conv2d(p[0], p[1], stride=2, padding=1,
+                                                  bias=p[2]) ** 2.0)),
         "conv2d_k4_s2": ([r(2, 2, 7, 9), r(3, 2, 4, 4)],
                          lambda p: T.sum_(T.conv2d(p[0], p[1], stride=2, padding=1) ** 2.0)),
         "upsample_nearest2x": ([r(1, 2, 3, 3)],
