@@ -35,9 +35,9 @@ def top_matches(matches):
 
 
 def evaluate_pairs(model, sequences, config):
-    """Run the full matching + homography pipeline over sequence pairs.
-    `match_pair` runs each pair in eval mode; the model's mode is left as
-    it was."""
+    """Run the full matching + homography pipeline over sequence pairs in
+    eval mode, switched to once and restored after; a model without modes
+    (any object with a `match_pair`) is left as it is."""
     ecfg = config.eval
     report = MetricsReport(thresholds=tuple(float(t) for t in ecfg.thresholds))
     tasks = []
@@ -45,28 +45,35 @@ def evaluate_pairs(model, sequences, config):
         for k, img_a, img_b, hom in seq.pairs():
             tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, img_b, hom))
 
-    for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
-        _, matches, _ = model.match_pair(img_a, img_b)
-        matches = top_matches(matches)
-        h, w = img_a.shape[1:]
-        failed = False
-        if len(matches) >= 4:
-            pa = np.array([m.point_a for m in matches])
-            pb = np.array([m.point_b for m in matches])
-            try:
-                h_est, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
-            except (EstimationFailure, ValueError):
+    was_training = getattr(model, "training", False)
+    if was_training:
+        model.eval()
+    try:
+        for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
+            _, matches, _ = model.match_pair(img_a, img_b)
+            matches = top_matches(matches)
+            h, w = img_a.shape[1:]
+            failed = False
+            if len(matches) >= 4:
+                pa = np.array([m.point_a for m in matches])
+                pb = np.array([m.point_b for m in matches])
+                try:
+                    h_est, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
+                except (EstimationFailure, ValueError):
+                    h_est = None
+                    failed = True
+            else:
                 h_est = None
                 failed = True
-        else:
-            h_est = None
-            failed = True
-        err = corner_error(hom, h_est, w, h)
-        if failed:
-            frac = {float(t): 0.0 for t in ecfg.thresholds}
-        else:
-            frac = mma(matches, hom, thresholds=ecfg.thresholds)
-        report.add_pair(pair_id, split, err, frac, failed=failed)
+            err = corner_error(hom, h_est, w, h)
+            if failed:
+                frac = {float(t): 0.0 for t in ecfg.thresholds}
+            else:
+                frac = mma(matches, hom, thresholds=ecfg.thresholds)
+            report.add_pair(pair_id, split, err, frac, failed=failed)
+    finally:
+        if was_training:
+            model.train(True)
     return report
 
 

@@ -474,7 +474,8 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
     W - w' junk columns per output row are dropped. The forward pass works
     through the output positions in runs: it copies a run's k*k tap slices
     into one [b, k*k*c_in, run] buffer of at most CONV_BLOCK_BYTES, makes one
-    [c_out, k*k*c_in] GEMM of it and adds the bias there. The backward pass
+    [c_out, k*k*c_in] GEMM of it and adds the bias there; a 1x1 kernel has
+    one tap, whose GEMM reads the slice without a copy. The backward pass
     runs the same slices per tap: one g @ sliceᵀ GEMM per tap for the kernel
     gradient and kernelᵀ @ g added at the tap's offset for the input
     gradient, in runs of CONV_BLOCK_BYTES of per-tap products.
@@ -518,11 +519,15 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
 
     acc = np.empty((b, co, ho * ws), dtype=dtype)
     fwd_runs = runs(max(co, k * k * ci))
-    stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype)
+    if k > 1:
+        stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype)
     for r0, r1 in fwd_runs:
-        st = stack[:, :, :r1 - r0]
-        for i, (u, v, a, c, off) in enumerate(taps):
-            st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
+        if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
+            st = parts[0, 0, :, :, r0:r1]
+        else:
+            st = stack[:, :, :r1 - r0]
+            for i, (u, v, a, c, off) in enumerate(taps):
+                st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
         np.matmul(kstack, st, out=acc[:, :, r0:r1])
         if bias is not None:
             acc[:, :, r0:r1] += bias.data[:, None]

@@ -15,6 +15,21 @@ from rotmatch.matcher import (FINE_WINDOW, CoarseMatcher, CoarseMatchSet,
 from rotmatch.tensor import Tensor
 
 
+def dense_mutual(a, b, theta):
+    """Float64 dense reference of `mutual_matches`: the whole dual-softmax
+    confidence of a @ bᵀ, its row and column argmaxes (first index wins),
+    and the mutual pairs above theta as (idx_a, idx_b, confidence)."""
+    conf = dual_softmax(np.asarray(a, np.float64) @ np.asarray(b, np.float64).T).data
+    row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
+    rows = np.arange(conf.shape[0])
+    ia = np.nonzero((col_best[row_best] == rows) & (conf[rows, row_best] > theta))[0]
+    return ia, row_best[ia], conf[ia, row_best[ia]]
+
+
+def unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
 class TestPositionalEncoding:
     def test_deterministic(self):
         a = add_positional_encoding(Tensor(np.zeros((8, 4, 4), dtype=np.float32)))
@@ -106,19 +121,16 @@ class TestMutualMatches:
         a = 4.0 * np.concatenate([b[rng.permutation(s)[:30]] + 0.4 * rng.normal(size=(30, d)),
                                   rng.normal(size=(t - 30, d))])
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
-        conf = dual_softmax(a @ b.T).data
-        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
-        mutual = col_best[row_best] == np.arange(t)
         for theta in (0.0, 0.2, 0.5):
-            ref_a = np.nonzero(mutual & (conf[np.arange(t), row_best] > theta))[0]
+            ref_a, ref_b, ref_c = dense_mutual(a, b, theta)
             ia, ib, c = mutual_matches(a, b, theta)
-            assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
-            assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=0, atol=1e-12)
+            assert np.array_equal(ia, ref_a) and np.array_equal(ib, ref_b)
+            assert np.allclose(c, ref_c, rtol=0, atol=1e-12)
         assert len(mutual_matches(a, b, 0.2)[0]) >= 10
 
     @pytest.mark.parametrize("rows", [53, 7, 1])
-    def test_two_passes_over_score_blocks(self, rows, monkeypatch):
-        # every block of rows of the scores is computed at most twice
+    def test_one_pass_over_score_blocks(self, rows, monkeypatch):
+        # every block of rows of the scores is computed at most once
         rng = np.random.default_rng(17)
         t, s, d = 53, 41, 8
         a, b = rng.normal(size=(t, d)), rng.normal(size=(s, d))
@@ -133,7 +145,7 @@ class TestMutualMatches:
         monkeypatch.setattr(M, "_score_blocks", counted)
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
         mutual_matches(a, b, 0.0)
-        assert sum(made) <= 2 * t
+        assert sum(made) <= t
 
     @pytest.mark.parametrize("rows", [12, 5, 1])
     def test_ties_first_index_wins(self, rows, monkeypatch):
@@ -146,54 +158,69 @@ class TestMutualMatches:
         a = 3.0 * b[rng.permutation(s)[:t % s].tolist() + list(range(s))]
         a[5] = a[0] = 3.0 * b[2]
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
-        conf = dual_softmax(a @ b.T).data
-        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
-        ref_a = np.nonzero(col_best[row_best] == np.arange(t))[0]
+        ref_a, ref_b, ref_c = dense_mutual(a, b, 0.0)
         ia, ib, c = mutual_matches(a, b, 0.0)
-        assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
-        assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=0, atol=1e-12)
+        assert np.array_equal(ia, ref_a) and np.array_equal(ib, ref_b)
+        assert np.allclose(c, ref_c, rtol=0, atol=1e-12)
         assert 0 in ia and 5 not in ia and ib[list(ia).index(0)] == 2 and 7 not in ib
+
+    @pytest.mark.parametrize("rows", [40, 7, 1])
+    def test_candidates_equal_dense_reference(self, rows, monkeypatch):
+        # rows 6-8 lie near three nearly equal columns 0-2, so each has three
+        # row-softmax entries above 0.1, the candidate cut at theta 0.2;
+        # column 10 is near eight rows, so row 17, a hair nearer b[10] than
+        # b[11], has its confidence argmax at column 11, not its score argmax
+        rng = np.random.default_rng(23)
+        t, s, d = 40, 36, 16
+        b = unit(rng.normal(size=(s, d)))
+        b[1:3] = unit(b[0] + 1e-3 * rng.normal(size=(2, d)))
+        a = unit(rng.normal(size=(t, d)))
+        a[:6] = unit(b[12 + rng.permutation(s - 12)[:6]] + 0.2 * rng.normal(size=(6, d)))
+        a[6:9] = unit(b[0] + 0.1 * rng.normal(size=(3, d)))
+        a[9:17] = unit(b[10] + 0.1 * rng.normal(size=(8, d)))
+        a[17] = unit(b[10] + b[11] + 0.05 * (b[10] - b[11]))
+        a *= 8.0
+        scores = a @ b.T
+        row_soft = T.softmax(Tensor(scores), axis=-1).data
+        assert ((row_soft[6:9] > 0.1).sum(axis=1) == 3).all()
+        assert scores[17].argmax() == 10 and dual_softmax(scores).data[17].argmax() == 11
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
+        for theta in (0.0, 0.01, 0.2, 0.5, 1.0):
+            ref_a, ref_b, ref_c = dense_mutual(a, b, theta)
+            ia, ib, c = mutual_matches(a, b, theta)
+            assert np.array_equal(ia, ref_a) and np.array_equal(ib, ref_b)
+            assert np.allclose(c, ref_c, rtol=0, atol=1e-12)
+            assert (theta == 1.0) == (len(ia) == 0)
+        ia, ib, _ = mutual_matches(a, b, 0.01)
+        assert (17, 11) in zip(ia.tolist(), ib.tolist())
 
     def test_float32_at_matcher_scale(self):
         # unit b, a = unit / TEMPERATURE, as `select` calls it, against a
         # float64 dense reference
         rng = np.random.default_rng(19)
         t, s, d = 400, 360, 32
-
-        def unit(x):
-            return x / np.linalg.norm(x, axis=1, keepdims=True)
-
         b = unit(rng.normal(size=(s, d)))
         a = unit(np.concatenate([b[rng.permutation(s)[:250]] + 0.1 * rng.normal(size=(250, d)),
                                  rng.normal(size=(t - 250, d))])) / M.TEMPERATURE
         a32, b32 = a.astype(np.float32), b.astype(np.float32)
-        conf = dual_softmax(a32.astype(np.float64) @ b32.astype(np.float64).T).data
-        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
-        mutual = col_best[row_best] == np.arange(t)
-        ref_a = np.nonzero(mutual & (conf[np.arange(t), row_best] > 0.2))[0]
+        ref_a, ref_b, ref_c = dense_mutual(a32, b32, 0.2)
         ia, ib, c = mutual_matches(a32, b32, 0.2)
         assert c.dtype == np.float32 and len(ia) >= 200
-        assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
-        assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=1e-5, atol=0)
+        assert np.array_equal(ia, ref_a) and np.array_equal(ib, ref_b)
+        assert np.allclose(c, ref_c, rtol=1e-5, atol=0)
 
     def test_score_range_exact_or_rejected(self):
         # float32 rows of norm 50 against unit rows: scores span [-50, 50],
         # within the float32 exp sums of 300 tokens; norm 100 is not
         rng = np.random.default_rng(20)
         t, s, d = 300, 280, 16
-
-        def unit(x):
-            return x / np.linalg.norm(x, axis=1, keepdims=True)
-
         b = unit(rng.normal(size=(s, d))).astype(np.float32)
         a = unit(rng.normal(size=(t, d))).astype(np.float32)
-        conf = dual_softmax(50.0 * a.astype(np.float64) @ b.astype(np.float64).T).data
-        row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
-        ref_a = np.nonzero(col_best[row_best] == np.arange(t))[0]
+        ref_a, ref_b, ref_c = dense_mutual(50.0 * a.astype(np.float64), b, 0.0)
         ia, ib, c = mutual_matches(50.0 * a, b, 0.0)
         assert np.isfinite(c).all() and len(ia) >= 100
-        assert np.array_equal(ia, ref_a) and np.array_equal(ib, row_best[ref_a])
-        assert np.allclose(c, conf[ref_a, row_best[ref_a]], rtol=1e-5, atol=1e-30)
+        assert np.array_equal(ia, ref_a) and np.array_equal(ib, ref_b)
+        assert np.allclose(c, ref_c, rtol=1e-5, atol=1e-30)
         with pytest.raises(ValueError, match=r"300 tokens need at most 83\.02"):
             mutual_matches(100.0 * a, b, 0.0)
         # NaN features (a diverged training step) match nothing
@@ -223,6 +250,22 @@ class TestMutualMatches:
             tracemalloc.stop()
         assert peak < 4800 * 4800 * 4 / 4
 
+    def test_large_near_duplicates_hold_no_full_matrix(self):
+        # 4800 x 4800 tokens at the matcher's scale, each row a near copy of
+        # the same column: almost every row matches, and the candidates kept
+        # between the sweep and the selection stay small
+        rng = np.random.default_rng(24)
+        b = unit(rng.normal(size=(4800, 64))).astype(np.float32)
+        a = (unit(b + 0.02 * rng.normal(size=b.shape)) / M.TEMPERATURE).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ia, ib, c = mutual_matches(a, b, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4800 * 4800 * 4 / 4
+        assert len(ia) >= 4700 and np.array_equal(ia, ib) and (c > 0.2).all()
+
     def test_similarity_builds_one_full_matrix(self):
         # the temperature scales the 4800 x 32 side, not the 4800 x 4800 product
         rng = np.random.default_rng(16)
@@ -240,6 +283,12 @@ class TestMutualMatches:
 
 
 class TestCoarseMatcher:
+    @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5])
+    def test_theta_c_outside_unit_interval_rejected(self, theta):
+        # theta_c = 0 would make every one of the t x s scores a candidate
+        with pytest.raises(ValueError, match=r"theta_c must lie in \(0, 1\]"):
+            CoarseMatcher(coarse_dim=8, cfg=MatcherConfig(theta_c=theta))
+
     def test_identity_assignment_attention_bypassed(self):
         rng = np.random.default_rng(6)
         cfg = MatcherConfig(theta_c=0.05)

@@ -161,6 +161,23 @@ class TestConv2d:
             assert got.shape == want.shape
             assert (np.abs(got - want) / np.maximum(np.abs(want), 1e-9)).max() < 1e-6
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_tap_runs_against_loop_oracle(self, stride, padding, monkeypatch):
+        # a 1x1 kernel has one tap, whose GEMM reads the input in place;
+        # c_in = 12 > c_out = 5 sets runs of 4096 / (2 * 12 * 8) = 21
+        # output positions, so every case here spans several runs
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        rng = np.random.default_rng(30 + 2 * stride + padding)
+        x = rng.normal(size=(2, 12, 9, 11))
+        kern = rng.normal(size=(5, 12, 1, 1))
+        bvec = rng.normal(size=5)
+        y = T.conv2d(Tensor(x, dtype=np.float64), Tensor(kern, dtype=np.float64),
+                     stride=stride, padding=padding, bias=Tensor(bvec, dtype=np.float64))
+        ref = conv2d_loop(x, kern, stride=stride, padding=padding) + bvec[None, :, None, None]
+        assert y.dtype == np.float64 and y.shape == ref.shape
+        assert (np.abs(y.data - ref) / np.maximum(np.abs(ref), 1e-9)).max() < 1e-6
+
     def test_bias_shape_checked(self):
         with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 1, 1))),
