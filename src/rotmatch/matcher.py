@@ -103,14 +103,9 @@ def log_dual_softmax(scores):
     return T.log_softmax(s, axis=-1) + T.log_softmax(s, axis=-2)
 
 
-def _score_blocks(a, b):
-    """Yield (rows, a[rows] @ bᵀ) over blocks of rows of the scores, each at
-    most SCORE_BLOCK_BYTES; the caller may overwrite a block."""
-    bt = np.ascontiguousarray(b.T)
-    n = max(1, SCORE_BLOCK_BYTES // (bt.shape[1] * bt.itemsize))
-    for i in range(0, a.shape[0], n):
-        rows = slice(i, min(i + n, a.shape[0]))
-        yield rows, a[rows] @ bt
+def _block_scores(a, bt, rows):
+    """Rows `rows` of the scores a @ bt; the caller may overwrite them."""
+    return a[rows] @ bt
 
 
 def mutual_matches(a, b, theta_c):
@@ -123,7 +118,9 @@ def mutual_matches(a, b, theta_c):
     exceeds theta_c / 2 become candidates. The log-confidence L = 2s - r - c
     is then computed in float64 for the candidates only, and a candidate is
     kept if it is the first maximum of L among the candidates of its row and
-    of its column, with exp(L) > theta_c.
+    of its column, with exp(L) > theta_c. The blocks are spread over
+    `tensor.share` lanes; each keeps its sums and candidates in its own
+    slot, and c is summed in block order, so no bit depends on the lanes.
 
     This is exact. The confidence is the row softmax times a column softmax
     of at most 1, so a kept pair has row softmax > theta_c, and so has every
@@ -151,14 +148,23 @@ def mutual_matches(a, b, theta_c):
     if reach > bound:
         raise ValueError(f"mutual_matches: scores reach up to {reach:.4g} in magnitude; "
                          f"{dt} exp sums over {max(t, s)} tokens need at most {bound:.4g}")
-    r, c, flat = np.empty(t), np.zeros(s), []
-    for rows, e in _score_blocks(a, b):
-        np.exp(e, out=e)
-        sums = e.sum(axis=1)
-        r[rows] = sums
-        c += np.ones(e.shape[0], dt) @ e
-        # flat indices: 2-D np.nonzero is ~10x slower on these blocks
-        flat.append(rows.start * s + np.flatnonzero(e > (theta_c / 2) * sums[:, None]))
+    bt = np.ascontiguousarray(b.T)
+    n = max(1, SCORE_BLOCK_BYTES // (s * bt.itemsize))
+    blocks = list(enumerate(slice(i, min(i + n, t)) for i in range(0, t, n)))
+    r, cols, flat = np.empty(t), [None] * len(blocks), [None] * len(blocks)
+
+    def sweep(queue):   # one lane: its blocks' results go to their own slots
+        for j, rows in queue:
+            e = _block_scores(a, bt, rows)
+            np.exp(e, out=e)
+            sums = e.sum(axis=1)
+            r[rows] = sums
+            cols[j] = np.ones(e.shape[0], dt) @ e
+            # flat indices: 2-D np.nonzero is ~10x slower on these blocks
+            flat[j] = rows.start * s + np.flatnonzero(e > (theta_c / 2) * sums[:, None])
+
+    T.share(sweep, blocks)
+    c = sum(cols, np.zeros(s))   # in block order, whichever lane made each
     r, c = np.log(r), np.log(c)
     ia, ib = np.divmod(np.concatenate(flat), s)
     L = 2 * np.einsum("ij,ij->i", a[ia], b[ib], dtype=np.float64) - r[ia] - c[ib]

@@ -7,10 +7,14 @@ parameter gradients.
 """
 
 import contextvars
+import os
+import threading
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+CPUS = len(os.sched_getaffinity(0))   # lanes that `share` may run at once
+_POOL, _POOL_LOCK = None, threading.Lock()   # its worker threads, made on first use
 
 # the tape that records ops run in this thread or context, if any
 _ACTIVE_TAPE = contextvars.ContextVar("rotmatch_active_tape", default=None)
@@ -143,6 +147,34 @@ def _record(out, parents, backward_fn):
         out._leaf = False
         tape._nodes.append((out, parents, backward_fn))
     return out
+
+
+def share(lane, items):
+    """Run lane(queue) in min(CPUS, len(items) // 8) lanes, this thread and
+    pool threads, all drawing from one iterator over the list `items`
+    (`next` on it is atomic under the GIL); below 2 lanes, only here. Jobs
+    not yet started are cancelled, so a busy pool never holds a second
+    caller up; started ones are waited for before an exception propagates.
+    Lanes record nothing on a tape, which is per thread."""
+    global _POOL
+    queue = iter(items)
+    lanes = min(CPUS, len(items) // 8)
+    if lanes < 2:
+        return lane(queue)
+    from concurrent.futures import ThreadPoolExecutor, wait   # loaded only if lanes run
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(CPUS - 1, thread_name_prefix="rotmatch-lane")
+    jobs = [_POOL.submit(lane, queue) for _ in range(lanes - 1)]
+    try:
+        lane(queue)
+    finally:
+        for job in jobs:
+            job.cancel()
+        wait(jobs)
+    for job in jobs:
+        if not job.cancelled():
+            job.result()   # raises what the lane raised
 
 
 def _unbroadcast(grad, shape):
@@ -478,7 +510,9 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
     one tap, whose GEMM reads the slice without a copy. The backward pass
     runs the same slices per tap: one g @ sliceᵀ GEMM per tap for the kernel
     gradient and kernelᵀ @ g added at the tap's offset for the input
-    gradient, in runs of CONV_BLOCK_BYTES of per-tap products.
+    gradient, in runs of CONV_BLOCK_BYTES of per-tap products. Forward runs
+    are shared out over `share` lanes; backward runs overlap in the input
+    gradient, and the kernel gradient's sum order is fixed, so they do not.
     """
     b, ci, h, w = x.data.shape
     co, cik, k, kw = kernel.data.shape
@@ -519,18 +553,22 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
 
     acc = np.empty((b, co, ho * ws), dtype=dtype)
     fwd_runs = runs(max(co, k * k * ci))
-    if k > 1:
-        stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype)
-    for r0, r1 in fwd_runs:
-        if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
-            st = parts[0, 0, :, :, r0:r1]
-        else:
-            st = stack[:, :, :r1 - r0]
-            for i, (u, v, a, c, off) in enumerate(taps):
-                st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
-        np.matmul(kstack, st, out=acc[:, :, r0:r1])
-        if bias is not None:
-            acc[:, :, r0:r1] += bias.data[:, None]
+
+    def fill(queue):   # one lane: its own stack buffer, its own runs of acc
+        if k > 1:
+            stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype)
+        for r0, r1 in queue:
+            if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
+                st = parts[0, 0, :, :, r0:r1]
+            else:
+                st = stack[:, :, :r1 - r0]
+                for i, (u, v, a, c, off) in enumerate(taps):
+                    st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
+            np.matmul(kstack, st, out=acc[:, :, r0:r1])
+            if bias is not None:
+                acc[:, :, r0:r1] += bias.data[:, None]
+
+    share(fill, fwd_runs)
     out = Tensor(acc.reshape(b, co, ho, ws)[:, :, :, :wo])
 
     def bwd(g):

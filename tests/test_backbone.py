@@ -247,10 +247,12 @@ class TestInvariance:
 
 
 # Eval-mode forward passes of an acceptance-config c4star model (criterion 8's
-# widths), norms calibrated on each pair first; one sha256 per pair size.
+# widths), norms calibrated on each pair first; one sha256 per pair size, and
+# one of the coarse mutual match on the larger pair.
 _FORWARD_HASHES = """
 import hashlib
 import numpy as np
+from rotmatch import matcher as M
 from rotmatch.config import Config
 from rotmatch.model import MatcherModel
 from rotmatch.steerable import calibrate_norm_stats
@@ -268,12 +270,18 @@ for h, w in ((96, 96), (240, 320)):
     calibrate_norm_stats(model.backbone, pair)
     coarse, fine = model.eval().features(pair)
     print(h, w, hashlib.sha256(coarse.data.tobytes() + fine.data.tobytes()).hexdigest())
+# mutual_matches of the 240x320 pair's coarse tokens, scaled to length 8, in
+# blocks of 13 score rows: 93 blocks, so the sweep runs in lanes too
+M.SCORE_BLOCK_BYTES = 1 << 16
+a, b = (8 * v / np.linalg.norm(v, axis=0) for v in coarse.data.reshape(2, coarse.shape[1], -1))
+print(hashlib.sha256(b"".join(v.tobytes() for v in M.mutual_matches(a.T, b.T, 0.05))).hexdigest())
 """
 
 
 def test_inference_independent_of_blas_threads():
     # OpenBLAS splits a GEMM's output between threads, never its sums; the
-    # conv GEMM shapes must keep inference bit-identical across thread counts
+    # conv and score GEMM shapes must keep inference bit-identical across
+    # thread counts; the 240x320 pair's large convs and its sweep run in lanes
     src = os.path.dirname(os.path.dirname(os.path.abspath(rotmatch.__file__)))
     out = []
     for threads in ("1", "2"):
@@ -282,4 +290,4 @@ def test_inference_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
-    assert len(out[0]) == 6 and out[0] == out[1]
+    assert len(out[0]) == 7 and out[0] == out[1]

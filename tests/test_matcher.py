@@ -130,22 +130,47 @@ class TestMutualMatches:
 
     @pytest.mark.parametrize("rows", [53, 7, 1])
     def test_one_pass_over_score_blocks(self, rows, monkeypatch):
-        # every block of rows of the scores is computed at most once
+        # every row of the scores is computed exactly once, in whichever lane
         rng = np.random.default_rng(17)
         t, s, d = 53, 41, 8
         a, b = rng.normal(size=(t, d)), rng.normal(size=(s, d))
         made = []
-        blocks = M._score_blocks
+        block_scores = M._block_scores
 
-        def counted(x, y):
-            for sl, block in blocks(x, y):
-                made.append(block.shape[0])
-                yield sl, block
+        def counted(x, bt, sl):
+            block = block_scores(x, bt, sl)
+            made.extend(range(sl.start, sl.start + block.shape[0]))
+            return block
 
-        monkeypatch.setattr(M, "_score_blocks", counted)
+        monkeypatch.setattr(M, "_block_scores", counted)
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
         mutual_matches(a, b, 0.0)
-        assert sum(made) <= t
+        assert sorted(made) == list(range(t))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("theta", [0.01, 0.2])
+    def test_lanes_bit_identical(self, theta, dtype, lanes, monkeypatch):
+        # 5 rows per block: 43 blocks, the last of 1 row. A last coordinate,
+        # 5.6 in a and -5.6 in b, shifts every score by -31.36 and leaves the
+        # confidence as it is; it brings the column sums near 1, where their
+        # log keeps their last bits, so that in float64 another order of
+        # summing them changes the output
+        rng = np.random.default_rng(19)
+        t, s, d = 211, 97, 8
+        b = unit(rng.normal(size=(s, d)))
+        a = 6.0 * unit(b[rng.integers(0, s, t)] + 0.3 * rng.normal(size=(t, d)))
+        a = np.hstack([a, np.full((t, 1), 5.6)]).astype(dtype)
+        b = np.hstack([6.0 * b, np.full((s, 1), -5.6)]).astype(dtype)
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", 5 * s * np.dtype(dtype).itemsize)
+        out = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(T, "CPUS", cpus)
+            out.append(mutual_matches(a, b, theta))
+        assert [len(threads) for _, threads in lanes] == [1, 2]
+        assert lanes[0][0] == lanes[1][0] == 43
+        assert len(out[0][0]) >= 20
+        for got, want in zip(*out):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [12, 5, 1])
     def test_ties_first_index_wins(self, rows, monkeypatch):

@@ -1,8 +1,12 @@
 import inspect
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from rotmatch import matcher as M
 from rotmatch import tensor as T
 from rotmatch.matcher import softmax_attention
 from rotmatch.tensor import GradientTape, Tensor, backward, finite_diff_check
@@ -178,10 +182,123 @@ class TestConv2d:
         assert y.dtype == np.float64 and y.shape == ref.shape
         assert (np.abs(y.data - ref) / np.maximum(np.abs(ref), 1e-9)).max() < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_lanes_bit_identical(self, k, stride, bias, dtype, lanes, monkeypatch):
+        # c_out = 32 sets forward runs of 4096 / (2 * 32 * itemsize) = 16 or
+        # 8 positions: 17 to 144 runs, 17 for k = 1 at stride 2 in float32
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        rng = np.random.default_rng(50 + 10 * k + 2 * stride + bias)
+        x = rng.normal(size=(2, 2, 32, 34))
+        kern = rng.normal(size=(32, 2, k, k))
+        bvec = rng.normal(size=32)
+        pad = min(k // 2, 1)
+
+        def run(cpus):
+            monkeypatch.setattr(T, "CPUS", cpus)
+            params = [Tensor(v, requires_grad=True, dtype=dtype)
+                      for v in ((x, kern, bvec) if bias else (x, kern))]
+            with GradientTape() as tape:
+                tape.watch(*params)
+                y = T.conv2d(*params[:2], stride=stride, padding=pad,
+                             bias=params[2] if bias else None)
+                assert len(tape._nodes) == 1
+                g = Tensor(np.random.default_rng(1).normal(size=y.shape), dtype=dtype)
+                grads = backward(T.sum_(y * g), tape)
+            return [y.data] + [grads[p] for p in params]
+
+        serial, shared = run(1), run(2)
+        assert [len(threads) for _, threads in lanes] == [1, 2]
+        assert lanes[0][0] == lanes[1][0] >= 16
+        for got, want in zip(shared, serial):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_bias_shape_checked(self):
         with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
             T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 1, 1))),
                      bias=Tensor(np.zeros(2)))
+
+
+class TestShare:
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_error_reaches_caller_after_every_lane_ends(self, where, monkeypatch):
+        monkeypatch.setattr(T, "CPUS", 2)
+        caller, busy, lock = threading.get_ident(), [], threading.Lock()
+        barrier = threading.Barrier(2, timeout=30)
+
+        def lane(queue):
+            with lock:
+                busy.append(1)
+            try:
+                barrier.wait()   # both lanes are running
+                for item in queue:
+                    if (threading.get_ident() == caller) == (where == "caller"):
+                        raise ValueError(f"item {item}")
+                    time.sleep(0.001)
+            finally:
+                with lock:
+                    busy.pop()
+
+        with pytest.raises(ValueError, match="item"):
+            T.share(lane, list(range(40)))
+        assert busy == []
+
+    def test_one_lane_below_eight_items_per_lane(self, monkeypatch):
+        monkeypatch.setattr(T, "CPUS", 2)
+        monkeypatch.setattr(T, "_POOL", None)
+        threads = set()
+
+        def lane(queue):
+            for _ in queue:
+                threads.add(threading.get_ident())
+
+        T.share(lane, list(range(15)))
+        assert threads == {threading.get_ident()} and T._POOL is None
+
+    def test_concurrent_callers_get_serial_bytes(self, monkeypatch):
+        # three callers share one pool worker; jobs that did not start are
+        # cancelled, so no caller waits on another's lanes
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", 4 * 97 * 4)
+        rng = np.random.default_rng(60)
+        x = Tensor(rng.normal(size=(2, 4, 40, 40)).astype(np.float32))
+        kern = Tensor(rng.normal(size=(32, 4, 3, 3)).astype(np.float32))
+        b = rng.normal(size=(97, 16))
+        a = np.concatenate([b, b, b]) + rng.normal(size=(291, 16))
+        a, b = ((4 * v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+                for v in (a, b))
+
+        def work():
+            y = T.conv2d(x, kern, stride=2, padding=1).data.tobytes()
+            return y + b"".join(v.tobytes() for v in M.mutual_matches(a, b, 0.05))
+
+        monkeypatch.setattr(T, "CPUS", 1)
+        want = work()
+        monkeypatch.setattr(T, "CPUS", 2)
+        got, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(5):
+                    got.append(work())
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert got == [want] * 15
 
 
 class TestRelu:

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from rotmatch import tensor as T
 from rotmatch.backbone import FINE_STRIDE
 from rotmatch.config import Config
 from rotmatch.datasets import (Sequence, _Texture, SynthParams, synth_dataset)
@@ -269,6 +270,26 @@ class TestMatchImages:
         gray = match_overlay(img, img, [good], h_gt=None)
         ys, xs = np.nonzero(gray.sum(axis=0) > 0)
         assert np.allclose(gray[:, ys, xs], 0.6)
+
+
+class TestLanes:
+    def test_eval_96_and_train_64_start_no_pool(self, tmp_path, monkeypatch):
+        # the perfbench eval-96 and train-64 shapes (criterion 8's model,
+        # batch 2): no call has the 16 items that two lanes need
+        monkeypatch.setattr(T, "CPUS", 2)
+        monkeypatch.setattr(T, "_POOL", None)
+        items, share = [], T.share
+        monkeypatch.setattr(T, "share", lambda lane, xs: items.append(len(xs)) or share(lane, xs))
+        cfg = tiny_config(steps=1)
+        cfg.backbone.base_width = 24
+        cfg.matcher.d_model = 32
+        cfg.matcher.n_blocks = 2
+        cfg.train.batch_size = 2
+        synth_dataset(str(tmp_path / "train"), 2, 64, 64, seed=21)
+        _, model = train(cfg, str(tmp_path / "train"), str(tmp_path / "run"))
+        synth_dataset(str(tmp_path / "test"), 1, 96, 96, seed=22)
+        evaluate(model, str(tmp_path / "test"), "r45", cfg)
+        assert items and T._POOL is None, sorted(set(items))
 
 
 class TestEquivarianceCheck:
