@@ -160,10 +160,6 @@ def check_image(image, name="image"):
 def extract(model, image):
     """Run the backbone on a single [3, h, w] image in eval mode."""
     img = check_image(image.data if isinstance(image, Tensor) else image)
-    was_training = model.training
-    model.eval()
-    try:
+    with model.mode(False):
         coarse, fine = model(Tensor(img[None].astype(model.stem.base.dtype)))
-    finally:
-        model.train(was_training)
     return FeaturePair(coarse=Tensor(coarse.data[0]), fine=Tensor(fine.data[0]))

@@ -4,6 +4,7 @@ merging."""
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ def main(argv=None):
                                         "optional rotated/warped copies)")
     p.add_argument("--out", required=True)
     p.add_argument("--scenes", type=int, default=16)
-    p.add_argument("--size", default="64x64", help="HxW, divisible by 8")
+    p.add_argument("--size", type=_size, default="64x64", help="HxW, divisible by 8")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rotate-a", type=float, default=None,
                    help="also write a copy with B-images rotated by this angle")
@@ -49,8 +50,8 @@ def main(argv=None):
     p.add_argument("--image-b", required=True)
     p.add_argument("--gt-h", default=None, help="9-float text file, row-major")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--size", default="none",
-                   help="canonical resize LONGxSHORT, or 'none'")
+    p.add_argument("--size", type=_size, default=None,
+                   help="canonical resize LONGxSHORT; by default, no resize")
 
     p = sub.add_parser("equivcheck", help="equivariance/invariance suites")
     p.add_argument("--variant", required=True)
@@ -79,16 +80,20 @@ def main(argv=None):
     }[args.command](args)
 
 
-def _parse_size(text):
-    h, w = text.lower().split("x")
-    return int(h), int(w)
+def _size(text):
+    """The argparse type of `--size`: two positive integers joined by an x."""
+    m = re.fullmatch(r"([0-9]+)x([0-9]+)", text.lower())
+    size = (int(m[1]), int(m[2])) if m else (0, 0)
+    if min(size) < 1:
+        raise argparse.ArgumentTypeError(f"expected two positive integers as AxB, "
+                                         f"got {text!r}")
+    return size
 
 
 def _cmd_generate(args):
-    from .datasets import save_sequence, synth_dataset
-    import json
+    from .datasets import DatasetManifest, save_sequence, synth_dataset
 
-    h, w = _parse_size(args.size)
+    h, w = args.size
     manifest = synth_dataset(args.out, args.scenes, h, w, seed=args.seed,
                              jitter=not args.no_jitter, split=args.split)
     print(f"wrote {args.scenes} scenes to {args.out}")
@@ -107,9 +112,7 @@ def _cmd_generate(args):
             scenes.append({"name": seq.name, "split": seq.split,
                            "seed": entry["seed"], "jitter": entry["jitter"],
                            "modification": tag})
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-            json.dump({"seed": manifest.seed, "h": h, "w": w, "scenes": scenes},
-                      f, indent=1, sort_keys=True)
+        DatasetManifest(out_dir, manifest.seed, h, w, scenes).save()
         print(f"wrote modified copy to {out_dir}")
     return 0
 
@@ -153,6 +156,7 @@ def _cmd_evaluate(args):
 def _cmd_match(args):
     from .datasets import load_homography_file, resize_canonical, Sequence
     from .evaluate import match_images
+    from .geometry import Homography
     from .imageio import read_ppm
     from .model import load_model
 
@@ -164,10 +168,10 @@ def _cmd_match(args):
     if img_b.shape[0] == 1:
         img_b = np.repeat(img_b, 3, axis=0)
     h_gt = load_homography_file(args.gt_h) if args.gt_h else None
-    if args.size != "none":
-        long_side, short_side = (int(v) for v in args.size.lower().split("x"))
+    if args.size is not None:
+        long_side, short_side = args.size
         seq = Sequence(name="pair", image_a=img_a, images_b=[img_b] * 5,
-                       homographies=[h_gt or _identity()] * 5)
+                       homographies=[h_gt or Homography(np.eye(3))] * 5)
         seq = resize_canonical(seq, long_side=long_side, short_side=short_side)
         img_a, img_b = seq.image_a, seq.images_b[0]
         h_gt = seq.homographies[0] if args.gt_h else None
@@ -180,11 +184,6 @@ def _cmd_match(args):
     print(f"{len(matches)} matches -> {args.out_prefix}.matches.txt, "
           f"{args.out_prefix}.ppm")
     return 0
-
-
-def _identity():
-    from .geometry import Homography
-    return Homography(np.eye(3))
 
 
 def _cmd_equivcheck(args):

@@ -64,14 +64,15 @@ def splitmix64(seed, index):
 
 
 def load_homography_file(path):
+    """The Homography in a file of 9 numbers, row-major."""
     with open(path, "r", encoding="utf-8") as f:
-        vals = [float(v) for v in f.read().split()]
-    if len(vals) != 9:
-        raise ValueError(f"{path}: expected 9 values, got {len(vals)}")
-    m = np.array(vals, dtype=np.float64).reshape(3, 3)
-    if abs(np.linalg.det(m)) < 1e-12:
-        raise ValueError(f"{path}: singular homography")
-    return Homography(m)
+        tokens = f.read().split()
+    if len(tokens) != 9:
+        raise ValueError(f"{path}: expected 9 values, got {len(tokens)}")
+    try:   # a token that is no number, or a non-finite or singular matrix
+        return Homography(np.array([float(v) for v in tokens]).reshape(3, 3))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_sequence(seq_dir, split="synthetic"):
@@ -381,12 +382,18 @@ class DatasetManifest:
     def sequences(self):
         return [self.load(n) for n in self.sequence_names()]
 
+    def save(self):
+        """Write `<root>/manifest.json`, which `load_manifest` reads back."""
+        with open(os.path.join(self.root, "manifest.json"), "w", encoding="utf-8") as f:
+            json.dump({"seed": self.seed, "h": self.h, "w": self.w, "scenes": self.scenes},
+                      f, indent=1, sort_keys=True)
+
 
 def synth_dataset(root, n_scenes, h, w, seed, params=None, jitter=True,
                   split="synthetic"):
     """Generate a dataset directory with manifest; deterministic per seed."""
-    if h % 8 or w % 8:
-        raise ValueError("scene dims must be divisible by 8")
+    if h <= 0 or w <= 0 or h % 8 or w % 8:
+        raise ValueError(f"scene dims must be positive and divisible by 8, got {h}x{w}")
     os.makedirs(root, exist_ok=True)
     scenes = []
     for i in range(n_scenes):
@@ -400,15 +407,23 @@ def synth_dataset(root, n_scenes, h, w, seed, params=None, jitter=True,
                        "homographies": [[float(v) for v in hm.matrix.ravel()]
                                         for hm in seq.homographies]})
     manifest = DatasetManifest(root=root, seed=seed, h=h, w=w, scenes=scenes)
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump({"seed": seed, "h": h, "w": w, "scenes": scenes},
-                  f, indent=1, sort_keys=True)
+    manifest.save()
     return manifest
 
 
 def load_manifest(root):
-    with open(os.path.join(root, "manifest.json"), "r", encoding="utf-8") as f:
+    """The DatasetManifest in `<root>/manifest.json`: integers `seed`, `h`
+    and `w`, and a list of `scenes`."""
+    path = os.path.join(root, "manifest.json")
+    with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: manifest is not a JSON object")
+    for key, kind in (("seed", int), ("h", int), ("w", int), ("scenes", list)):
+        if key not in data:
+            raise ValueError(f"{path}: manifest has no {key!r}")
+        if type(data[key]) is not kind:
+            raise ValueError(f"{path}: manifest {key!r} is {data[key]!r}, not {kind.__name__}")
     return DatasetManifest(root=root, seed=data["seed"], h=data["h"], w=data["w"],
                            scenes=data["scenes"])
 

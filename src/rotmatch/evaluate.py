@@ -5,6 +5,7 @@ visualization, and the equivariance-check suites.
 import io
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .geometry import (EstimationFailure, MetricsReport, corner_error, mma,
                        ransac_homography)
 from .imageio import write_ppm
 from .matcher import write_match_file
+from .nn import Module
 from .tensor import Tensor
 
 MAX_MATCHES = 1000    # most confident matches kept for scoring and drawing
@@ -45,10 +47,7 @@ def evaluate_pairs(model, sequences, config):
         for k, img_a, img_b, hom in seq.pairs():
             tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, img_b, hom))
 
-    was_training = getattr(model, "training", False)
-    if was_training:
-        model.eval()
-    try:
+    with model.mode(False) if isinstance(model, Module) else nullcontext():
         for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
             _, matches, _ = model.match_pair(img_a, img_b)
             matches = top_matches(matches)
@@ -71,9 +70,6 @@ def evaluate_pairs(model, sequences, config):
             else:
                 frac = mma(matches, hom, thresholds=ecfg.thresholds)
             report.add_pair(pair_id, split, err, frac, failed=failed)
-    finally:
-        if was_training:
-            model.train(True)
     return report
 
 

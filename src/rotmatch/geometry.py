@@ -25,6 +25,8 @@ class Homography:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError("Homography requires a 3x3 matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("Homography matrix has non-finite entries")
         if abs(np.linalg.det(m)) < 1e-15:
             raise ValueError("Homography matrix is singular")
         object.__setattr__(self, "matrix", m)

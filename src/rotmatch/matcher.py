@@ -189,11 +189,20 @@ def softmax_attention(q, k, v):
     return T.softmax(scores, axis=-1) @ v
 
 
+def linear_attention(q, k, v):
+    """Linear attention (Katharopoulos et al., 2020) on [b, heads, tokens,
+    head width] Tensors, from tape ops: with φ = elu + 1,
+    (φq @ (φkᵀ @ v)) / (φq @ Σ_s φk). No t x s array exists in either pass."""
+    qf, kf = T.elu1(q), T.elu1(k)
+    kv = T.transpose(kf, (0, 1, 3, 2)) @ v
+    z = T.transpose(T.sum_(kf, axis=2, keepdims=True), (0, 1, 3, 2))
+    return (qf @ kv) / (qf @ z)
+
+
 class MultiHeadAttention(Module):
     """Multi-head attention through `attend(q, k, v)`, an op on
-    [b, heads, tokens, head width] Tensors: `tensor.linear_attention` over
-    the coarse tokens, or `softmax_attention`, composed from tape ops, in
-    the fine windows."""
+    [b, heads, tokens, head width] Tensors: `linear_attention` over the
+    coarse tokens, or `softmax_attention` in the fine windows."""
 
     def __init__(self, d_model, n_heads, rng, attend, dtype=np.float32):
         super().__init__()
@@ -254,8 +263,7 @@ class CoarseMatcher(Module):
         self.cfg = cfg
         rng = rng or np.random.default_rng(0)
         self.proj = Linear(coarse_dim, cfg.d_model, rng=rng, dtype=dtype)
-        self.blocks = [AttentionBlock(cfg.d_model, cfg.n_heads, rng, T.linear_attention,
-                                      dtype)
+        self.blocks = [AttentionBlock(cfg.d_model, cfg.n_heads, rng, linear_attention, dtype)
                        for _ in range(cfg.n_blocks)]
         self.kinds = ["self" if i % 2 == 0 else "cross" for i in range(cfg.n_blocks)]
 
@@ -277,9 +285,8 @@ class CoarseMatcher(Module):
         l2 normalization. Differentiable."""
         if feat_a.shape[0] != feat_b.shape[0]:
             raise ValueError("coarse feature widths differ between images")
-        fa = _flatten_map(add_positional_encoding(feat_a))
-        fb = _flatten_map(add_positional_encoding(feat_b))
-        fa, fb = self.transform(_unsqueeze(fa), _unsqueeze(fb))
+        fa, fb = self.transform(_tokens(add_positional_encoding(feat_a)),
+                                _tokens(add_positional_encoding(feat_b)))
         return l2_normalize(fa[0]), l2_normalize(fb[0])
 
     def similarity(self, fa, fb):
@@ -306,13 +313,9 @@ class CoarseMatcher(Module):
                               grid_a=grid_a, grid_b=grid_b)
 
 
-def _flatten_map(x):
-    d = x.shape[0]
-    return T.transpose(T.reshape(x, (d, x.shape[1] * x.shape[2])), (1, 0))
-
-
-def _unsqueeze(x):
-    return T.reshape(x, (1,) + x.shape)
+def _tokens(x):
+    """The [1, h*w, d] token sequence of a [d, h, w] map."""
+    return T.transpose(T.reshape(x, (1, x.shape[0], x.shape[1] * x.shape[2])), (0, 2, 1))
 
 
 class FineMatcher(Module):

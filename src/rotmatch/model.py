@@ -39,20 +39,12 @@ class MatcherModel(Module):
             raise ValueError(f"images differ in size: A is {img_a.shape[1]}x{img_a.shape[2]}, "
                              f"B is {img_b.shape[1]}x{img_b.shape[2]}; match_pair needs "
                              f"one size")
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
+        with self.mode(False):
             imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
             coarse, fine = self.backbone(Tensor(imgs))
-            feat_ca = Tensor(coarse.data[0])
-            feat_cb = Tensor(coarse.data[1])
-            mset = self.coarse.match(feat_ca, feat_cb)
+            mset = self.coarse.match(Tensor(coarse.data[0]), Tensor(coarse.data[1]))
             matches, dropped = self.fine.refine(Tensor(fine.data[0]),
                                                 Tensor(fine.data[1]), mset)
-        finally:
-            if was_training:
-                self.train(True)
         return mset, matches, dropped
 
 

@@ -1,5 +1,7 @@
 """Small module system: parameter registration, train/eval mode, state dicts."""
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .tensor import Tensor, add, matmul
@@ -32,6 +34,19 @@ class Module:
 
     def eval(self):
         return self.train(False)
+
+    @contextmanager
+    def mode(self, training):
+        """Training (True) or eval mode within the block, the mode before
+        restored on exit; a module already in it is not walked."""
+        before = self._training
+        if before != training:
+            self.train(training)
+        try:
+            yield self
+        finally:
+            if before != training:
+                self.train(before)
 
     def _walk(self, prefix=""):
         """Depth-first walk of the module tree in attribute order.

@@ -265,13 +265,11 @@ def calibrate_norm_stats(model, x):
     saved = [m.momentum for m in norms]
     for m in norms:
         m.momentum = 1.0
-    was_training = model.training
-    model.train(True)
     try:
-        model(x)
+        with model.mode(True):
+            model(x)
     finally:
         for m, mom in zip(norms, saved):
             m.momentum = mom
-        model.train(was_training)
     return model
 

@@ -243,6 +243,12 @@ def relu(a):
     return _record(out, (a,), lambda g: (g * (a.data > 0),))
 
 
+def elu1(a):
+    """Pointwise elu(x) + 1: x + 1 for x > 0, else exp(x), which is positive."""
+    out = Tensor(np.where(a.data > 0, a.data + 1, np.exp(np.minimum(a.data, 0))))
+    return _record(out, (a,), lambda g: (g * np.where(a.data > 0, 1, out.data),))
+
+
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
@@ -390,52 +396,6 @@ def softmax(a, axis=-1):
         return ((g - dot) * s,)
 
     return _record(out, (a,), bwd)
-
-
-def linear_attention(q, k, v):
-    """Linear attention (Katharopoulos et al., 2020) with the feature map
-    φ(x) = elu(x) + 1: out = (φq @ (φkᵀ v)) / (φq · Σ_s φk).
-
-    Args:
-        q: Tensor [b, h, t, d] queries.
-        k: Tensor [b, h, s, d] keys.
-        v: Tensor [b, h, s, dv] values.
-
-    Returns:
-        Tensor [b, h, t, dv]. Time and memory are linear in t and s: no
-        t x s array exists in either pass.
-    """
-    b, h, t, d = q.shape
-    s = k.shape[2]
-    if k.shape != (b, h, s, d) or v.ndim != 4 or v.shape[:3] != (b, h, s):
-        raise ValueError(f"linear_attention shape mismatch: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}")
-
-    def phi(x):
-        return np.where(x > 0, x + 1, np.exp(np.minimum(x, 0)))
-
-    qf, kf, vd = phi(q.data), phi(k.data), v.data
-    kv = np.matmul(np.swapaxes(kf, -1, -2), vd)          # [b, h, d, dv]
-    z = kf.sum(axis=2)[..., None]                        # [b, h, d, 1]
-    den = np.matmul(qf, z)                               # [b, h, t, 1], > 0
-    o = np.matmul(qf, kv) / den
-    out = Tensor(o)
-
-    def bwd(g):
-        dnum = g / den
-        dden = -(g * o).sum(axis=-1, keepdims=True) / den
-        dqf = np.matmul(dnum, np.swapaxes(kv, -1, -2)) + dden * np.swapaxes(z, -1, -2)
-        qft = np.swapaxes(qf, -1, -2)
-        dkv = np.matmul(qft, dnum)
-        dz = np.matmul(qft, dden)                        # [b, h, d, 1]
-        dkf = np.matmul(vd, np.swapaxes(dkv, -1, -2)) + np.swapaxes(dz, -1, -2)
-        dv = np.matmul(kf, dkv)
-        # φ'(x) is 1 for x > 0 and exp(x) = φ(x) elsewhere
-        dqf *= np.where(q.data > 0, 1, qf)
-        dkf *= np.where(k.data > 0, 1, kf)
-        return dqf, dkf, dv
-
-    return _record(out, (q, k, v), bwd)
 
 
 def log_softmax(a, axis=-1):

@@ -175,7 +175,6 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
     log_path = os.path.join(out_dir, "train_log.jsonl")
     log_f = open(log_path, "w", encoding="utf-8")
     t0 = time.time()
-    model.train(True)
     try:
         for step in range(1, tcfg.steps + 1):
             t_step = time.perf_counter()

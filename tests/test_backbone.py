@@ -247,8 +247,9 @@ class TestInvariance:
 
 
 # Eval-mode forward passes of an acceptance-config c4star model (criterion 8's
-# widths), norms calibrated on each pair first; one sha256 per pair size, and
-# one of the coarse mutual match on the larger pair.
+# widths), norms calibrated on each pair first; one sha256 per pair size, one
+# of the coarse attention stack (1200 tokens, head width 8) and one of the
+# coarse mutual match on the larger pair.
 _FORWARD_HASHES = """
 import hashlib
 import numpy as np
@@ -270,6 +271,8 @@ for h, w in ((96, 96), (240, 320)):
     calibrate_norm_stats(model.backbone, pair)
     coarse, fine = model.eval().features(pair)
     print(h, w, hashlib.sha256(coarse.data.tobytes() + fine.data.tobytes()).hexdigest())
+fa, fb = model.coarse.embed(Tensor(coarse.data[0]), Tensor(coarse.data[1]))
+print(hashlib.sha256(fa.data.tobytes() + fb.data.tobytes()).hexdigest())
 # mutual_matches of the 240x320 pair's coarse tokens, scaled to length 8, in
 # blocks of 13 score rows: 93 blocks, so the sweep runs in lanes too
 M.SCORE_BLOCK_BYTES = 1 << 16
@@ -290,4 +293,4 @@ def test_inference_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
-    assert len(out[0]) == 7 and out[0] == out[1]
+    assert len(out[0]) == 8 and out[0] == out[1]

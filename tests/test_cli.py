@@ -5,6 +5,7 @@ import pytest
 
 from rotmatch.checkpoint import checkpoint_config
 from rotmatch.cli import main
+from rotmatch.imageio import read_ppm
 
 
 class TestGenerate:
@@ -42,6 +43,19 @@ class TestGenerate:
         pa = os.path.join(a, "scene_0000", "1.ppm")
         pb = os.path.join(b, "scene_0000", "1.ppm")
         assert open(pa, "rb").read() == open(pb, "rb").read()
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--out", "unused"],
+    ["match", "--checkpoint", "c", "--image-a", "a", "--image-b", "b", "--out-prefix", "p"],
+])
+@pytest.mark.parametrize("size", ["64", "0x0", "-8x8", "axb", "8x0", "8x8x8", "none"])
+def test_size_needs_two_positive_integers(command, size, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(command + [f"--size={size}"])
+    assert err.value.code == 2
+    assert (f"argument --size: expected two positive integers as AxB, got {size!r}"
+            in capsys.readouterr().err)
 
 
 class TestPrintConfig:
@@ -110,6 +124,15 @@ class TestTrainEvaluateMatch:
         assert rc == 0
         assert os.path.exists(prefix + ".matches.txt")
         assert os.path.exists(prefix + ".ppm")
+
+    def test_match_command_resized(self, small_run):
+        root, data, ckpt = small_run
+        img = os.path.join(data, "scene_0000", "{}.ppm")
+        prefix = str(root / "resized")
+        rc = main(["match", "--checkpoint", ckpt, "--image-a", img.format(1),
+                   "--image-b", img.format(2), "--out-prefix", prefix, "--size", "40x32"])
+        assert rc == 0
+        assert read_ppm(prefix + ".ppm").shape == (3, 32, 80)   # A and B side by side
 
     def test_report_merge(self, small_run, capsys):
         root, data, ckpt = small_run

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import tracemalloc
 
@@ -125,6 +126,18 @@ class TestLoadSequence:
             f.write("0 0 0 0 0 0 0 0 0\n")
         with pytest.raises(ValueError, match="singular"):
             load_sequence(tmp_path / "scene")
+
+    @pytest.mark.parametrize("bad,message", [("nan", "non-finite"), ("inf", "non-finite"),
+                                             ("x", "'x'")])
+    def test_bad_homography_value_names_file(self, tmp_path, bad, message):
+        # a NaN matrix would load and give every pair a NaN corner error
+        seq = make_synthetic_sequence("scene", 16, 16, seed=1)
+        save_sequence(tmp_path, seq)
+        with open(tmp_path / "scene" / "H_1_3", "w") as f:
+            f.write(f"1 0 {bad} 0 1 0 0 0 1\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_sequence(tmp_path / "scene")
+        assert str(tmp_path / "scene" / "H_1_3") in str(err.value)
 
 
 class TestResizeCanonical:
@@ -280,6 +293,33 @@ class TestSynthDataset:
     def test_dims_divisible_by_8(self, tmp_path):
         with pytest.raises(ValueError, match="divisible by 8"):
             synth_dataset(str(tmp_path / "bad"), 1, 30, 32, seed=0)
+
+    @pytest.mark.parametrize("h,w", [(0, 0), (-8, 8), (8, 0)])
+    def test_non_positive_dims_rejected(self, tmp_path, h, w):
+        with pytest.raises(ValueError, match=f"positive .* got {h}x{w}"):
+            synth_dataset(str(tmp_path / "bad"), 1, h, w, seed=0)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.pop("h"), "has no 'h'"),
+        (lambda m: m.update(w="32"), "'w' is '32', not int"),
+        (lambda m: m.update(seed=True), "'seed' is True, not int"),
+        (lambda m: m.update(scenes={}), "'scenes' is {}, not list"),
+    ])
+    def test_bad_manifest_names_file_and_key(self, tmp_path, edit, message):
+        root = tmp_path / "d"
+        synth_dataset(str(root), 1, 16, 16, seed=25)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=message) as err:
+            load_manifest(str(root))
+        assert str(path) in str(err.value)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_manifest(str(tmp_path))
 
 
 class TestApplyModification:

@@ -26,6 +26,13 @@ class TestHomographyType:
         with pytest.raises(ValueError, match="singular"):
             Homography(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Homography(m)
+
     def test_apply_finite(self):
         h = Homography(np.diag([2.0, 2.0, 1.0]))
         assert np.allclose(h.apply([3.0, 4.0]), [6.0, 8.0])

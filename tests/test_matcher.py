@@ -30,6 +30,50 @@ def unit(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
+def linear_attention_reference(q, k, v):
+    """Numpy forward pass of linear attention on [b, h, t, d] arrays, with
+    φ = elu + 1: (φq @ (φkᵀ v)) / (φq · Σ_s φk), φkᵀ as a strided view."""
+    def phi(x):
+        return np.where(x > 0, x + 1, np.exp(np.minimum(x, 0)))
+
+    qf, kf = phi(q), phi(k)
+    kv = np.matmul(np.swapaxes(kf, -1, -2), v)
+    z = kf.sum(axis=2)[..., None]
+    return np.matmul(qf, kv) / np.matmul(qf, z)
+
+
+class TestLinearAttention:
+    def _qkv(self, t, s, d, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(2, 4, n, d)).astype(np.float32) for n in (t, s, s)]
+
+    @pytest.mark.parametrize("t,s", [(144, 144), (1200, 1200), (4800, 4800), (36, 49)])
+    def test_matches_reference(self, t, s):
+        # head width 16 (the default d_model 64 over 4 heads): bit for bit;
+        # at width 8, BLAS rounds a contiguous φkᵀ and a strided view apart,
+        # by float32 rounding of the sums before v's signs cancel in them
+        for d, seed in ((16, 0), (8, 1)):
+            q, k, v = self._qkv(t, s, d, seed)
+            got = M.linear_attention(Tensor(q), Tensor(k), Tensor(v)).data
+            want = linear_attention_reference(q, k, v)
+            assert got.shape == (2, 4, t, d) and got.dtype == np.float32
+            if d == 16:
+                assert np.array_equal(got, want)
+            else:
+                scale = linear_attention_reference(q, k, np.abs(v))
+                assert (np.abs(got - want) <= 1e-6 * scale).all()
+
+    def test_no_token_by_token_array(self):
+        q, k, v = (Tensor(x) for x in self._qkv(4800, 4800, 16, 2))
+        tracemalloc.start()
+        try:
+            M.linear_attention(q, k, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * q.data.nbytes   # a 4800 x 4800 score array is 30x q
+
+
 class TestPositionalEncoding:
     def test_deterministic(self):
         a = add_positional_encoding(Tensor(np.zeros((8, 4, 4), dtype=np.float32)))

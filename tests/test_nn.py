@@ -82,6 +82,31 @@ class TestModuleWalker:
         tree.train()
         assert all(m.training for m in tree.modules())
 
+    def test_mode_switches_and_restores(self, monkeypatch):
+        tree = Tree()
+        calls, train = [], Module.train
+
+        def counted(self, flag=True):
+            calls.append(flag)
+            return train(self, flag)
+
+        monkeypatch.setattr(Module, "train", counted)
+        with tree.mode(False) as same:
+            assert same is tree and not any(m.training for m in tree.modules())
+            with tree.mode(False):               # already there: no walk
+                pass
+        assert calls == [False, True] and all(m.training for m in tree.modules())
+        calls.clear()
+        with pytest.raises(RuntimeError, match="inside"):
+            with tree.mode(False):
+                raise RuntimeError("inside")
+        assert calls == [False, True] and all(m.training for m in tree.modules())
+        tree.eval()
+        calls.clear()
+        with tree.mode(True):
+            assert all(m.training for m in tree.modules())
+        assert calls == [True, False] and not any(m.training for m in tree.modules())
+
     def test_matcher_state_dict_order(self):
         keys = list(MatcherModel(Config.default()).state_dict())
         i = keys.index("coarse.blocks.0.mha.wo.bias")

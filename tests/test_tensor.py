@@ -506,8 +506,10 @@ def _fd_cases():
                                lambda p: T.sum_(T.upsample_nearest2x(p[0]) ** 2.0)),
         "crop_windows": ([r(2, 8, 8)],
                          lambda p: T.sum_(T.crop_windows(p[0], centers, 3) ** 2.0)),
+        "elu1": ([r(3, 4)], lambda p: T.sum_(T.elu1(p[0]) ** 2.0)),
+        # the coarse stage's elu1 / transpose / sum / matmul / div chain
         "linear_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 2)],
-                             lambda p: T.sum_(T.linear_attention(p[0], p[1], p[2]) ** 2.0)),
+                             lambda p: T.sum_(M.linear_attention(p[0], p[1], p[2]) ** 2.0)),
         # the fine windows' matmul / scale / softmax / matmul chain
         "softmax_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 3)],
                               lambda p: T.sum_(softmax_attention(p[0], p[1], p[2]) ** 2.0)),
@@ -526,7 +528,7 @@ def test_every_recording_op_has_a_case():
     recording = {name for name, fn in vars(T).items()
                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
                  and "_record" in fn.__code__.co_names}
-    assert {"neg", "conv2d", "linear_attention"} <= recording
+    assert {"neg", "conv2d", "elu1"} <= recording
     reached = set()
     for params, f in _fd_cases().values():
         with GradientTape() as tape:
