@@ -269,14 +269,14 @@ class CoarseMatcher(Module):
 
     def transform(self, fa, fb):
         """Project and run the attention stack on [b, t, d] sequences.
-        Cross blocks update both sides in parallel with shared weights."""
+        Cross blocks update both sides in parallel with shared weights. A
+        block's two sides run in `tensor.fork_join` lanes, joined after it."""
         fa = self.proj(fa)
         fb = self.proj(fb)
+        pixels = min(fa.shape[1], fb.shape[1]) * COARSE_STRIDE ** 2
         for blk, kind in zip(self.blocks, self.kinds):
-            if kind == "self":
-                fa, fb = blk(fa, fa), blk(fb, fb)
-            else:
-                fa, fb = blk(fa, fb), blk(fb, fa)
+            src_a, src_b = (fa, fb) if kind == "self" else (fb, fa)
+            fa, fb = T.fork_join([lambda: blk(fa, src_a), lambda: blk(fb, src_b)], pixels)
         return fa, fb
 
     def embed(self, feat_a, feat_b):

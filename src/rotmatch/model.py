@@ -9,7 +9,7 @@ from .checkpoint import checkpoint_config, load_checkpoint, save_checkpoint
 from .config import load_config
 from .matcher import CoarseMatcher, FineMatcher
 from .nn import Module
-from .tensor import Tensor
+from .tensor import LANE_PIXELS, Tensor, fork_join
 
 
 class MatcherModel(Module):
@@ -32,6 +32,9 @@ class MatcherModel(Module):
         """Match two [3, h, w] images of one size, values in [0, 1], in eval
         mode.
 
+        From `tensor.LANE_PIXELS` pixels on, each image gets its own backbone
+        pass (not one batched pass), in its own `tensor.fork_join` lane.
+
         Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows).
         """
         img_a, img_b = check_image(img_a, "image A"), check_image(img_b, "image B")
@@ -41,10 +44,13 @@ class MatcherModel(Module):
                              f"one size")
         with self.mode(False):
             imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
-            coarse, fine = self.backbone(Tensor(imgs))
-            mset = self.coarse.match(Tensor(coarse.data[0]), Tensor(coarse.data[1]))
-            matches, dropped = self.fine.refine(Tensor(fine.data[0]),
-                                                Tensor(fine.data[1]), mset)
+            if imgs[0, 0].size < LANE_PIXELS:
+                coarse, fine = (v.data for v in self.backbone(Tensor(imgs)))
+            else:
+                coarse, fine = zip(*((c.data[0], f.data[0]) for c, f in fork_join(
+                    [lambda x=x: self.backbone(Tensor(x[None])) for x in imgs], imgs[0, 0].size)))
+            mset = self.coarse.match(Tensor(coarse[0]), Tensor(coarse[1]))
+            matches, dropped = self.fine.refine(Tensor(fine[0]), Tensor(fine[1]), mset)
         return mset, matches, dropped
 
 

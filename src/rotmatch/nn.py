@@ -16,9 +16,13 @@ class Module:
     deterministic.
     """
 
+    _epoch = 0   # bumped by each new module and `train` call, anywhere
+
     def __init__(self):
         self._buffers = {}
         self._training = True
+        self._seen = (None, None)   # (epoch, the tree's mode then, None if mixed)
+        Module._epoch += 1
 
     def register_buffer(self, name, array):
         self._buffers[name] = np.asarray(array)
@@ -30,6 +34,8 @@ class Module:
     def train(self, flag=True):
         for m in self.modules():
             m._training = flag
+        Module._epoch += 1
+        self._seen = (Module._epoch, flag)
         return self
 
     def eval(self):
@@ -37,15 +43,26 @@ class Module:
 
     @contextmanager
     def mode(self, training):
-        """Training (True) or eval mode within the block, the mode before
-        restored on exit; a module already in it is not walked."""
-        before = self._training
-        if before != training:
-            self.train(training)
+        """Training (True) or eval mode for the whole tree within the block,
+        each module's mode before restored on exit. The tree is walked only
+        when a mode may have changed since the last walk."""
+        if self._seen[0] != Module._epoch:
+            flags = {m._training for m in self.modules()}
+            self._seen = (Module._epoch, flags.pop() if len(flags) == 1 else None)
+        before = self._seen[1]
+        if before == training:
+            yield self
+            return
+        mixed = [(m, m._training) for m in self.modules()] if before is None else []
+        self.train(training)
         try:
             yield self
         finally:
-            if before != training:
+            if mixed:
+                for m, flag in mixed:
+                    m._training = flag
+                Module._epoch += 1
+            else:
                 self.train(before)
 
     def _walk(self, prefix=""):

@@ -13,8 +13,26 @@ import threading
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-CPUS = len(os.sched_getaffinity(0))   # lanes that `share` may run at once
-_POOL, _POOL_LOCK = None, threading.Lock()   # its worker threads, made on first use
+CPUS = len(os.sched_getaffinity(0))
+
+
+def _blas_threads():
+    """Threads numpy's bundled OpenBLAS runs one call in (1 without one)."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(np.__path__[0], os.pardir, "numpy.libs", "*openblas*")):
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(path), sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return max(1, fn())
+    return 1
+
+
+LANES = max(1, CPUS // _blas_threads())   # lanes that `share` may run, BLAS threads each
+_POOL, _POOL_LOCK = None, threading.Lock()   # LANES - 1 worker threads, made on first use
 
 # the tape that records ops run in this thread or context, if any
 _ACTIVE_TAPE = contextvars.ContextVar("rotmatch_active_tape", default=None)
@@ -149,32 +167,46 @@ def _record(out, parents, backward_fn):
     return out
 
 
-def share(lane, items):
-    """Run lane(queue) in min(CPUS, len(items) // 8) lanes, this thread and
-    pool threads, all drawing from one iterator over the list `items`
-    (`next` on it is atomic under the GIL); below 2 lanes, only here. Jobs
-    not yet started are cancelled, so a busy pool never holds a second
-    caller up; started ones are waited for before an exception propagates.
-    Lanes record nothing on a tape, which is per thread."""
+def share(lane, items, per_lane=8):
+    """Run lane(queue) in min(LANES, len(items) // per_lane) lanes, this
+    thread and pool threads, all drawing from one iterator over the list
+    `items` (`next` on it is atomic under the GIL); below 2 lanes, only here.
+    Jobs not yet started are cancelled, not waited for, so neither a busy pool
+    nor a call inside another `share`'s lane waits; started ones are waited
+    for before an exception propagates. Lanes record nothing on a tape."""
     global _POOL
     queue = iter(items)
-    lanes = min(CPUS, len(items) // 8)
+    lanes = min(LANES, len(items) // per_lane)
     if lanes < 2:
         return lane(queue)
     from concurrent.futures import ThreadPoolExecutor, wait   # loaded only if lanes run
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(CPUS - 1, thread_name_prefix="rotmatch-lane")
+            _POOL = ThreadPoolExecutor(LANES - 1, thread_name_prefix="rotmatch-lane")
     jobs = [_POOL.submit(lane, queue) for _ in range(lanes - 1)]
     try:
         lane(queue)
     finally:
-        for job in jobs:
-            job.cancel()
-        wait(jobs)
+        # `wait` counts a cancelled job done only once a pool thread dequeues it
+        wait([job for job in jobs if not job.cancel()])
     for job in jobs:
         if not job.cancelled():
             job.result()   # raises what the lane raised
+
+
+def fork_join(calls, pixels):
+    """The results of the independent zero-argument `calls`, in order, each one
+    `share` item once `pixels` (image pixels per call) reach LANE_PIXELS and
+    no tape records on this thread (lanes record nothing on it)."""
+    if pixels < LANE_PIXELS or _ACTIVE_TAPE.get() is not None:
+        return [call() for call in calls]
+    out = [None] * len(calls)
+
+    def lane(queue):
+        for i in queue:
+            out[i] = calls[i]()
+    share(lane, range(len(calls)), per_lane=1)
+    return out
 
 
 def _unbroadcast(grad, shape):
@@ -244,9 +276,10 @@ def relu(a):
 
 
 def elu1(a):
-    """Pointwise elu(x) + 1: x + 1 for x > 0, else exp(x), which is positive."""
-    out = Tensor(np.where(a.data > 0, a.data + 1, np.exp(np.minimum(a.data, 0))))
-    return _record(out, (a,), lambda g: (g * np.where(a.data > 0, 1, out.data),))
+    """Pointwise elu(x) + 1: x + 1 for x > 0, else exp(x), which is positive. Bit
+    for bit np.where(x > 0, x + 1, exp(x)) without its costly mask, NaNs too."""
+    out = Tensor(np.fmax(a.data, 0) + np.exp(np.minimum(a.data, 0)))
+    return _record(out, (a,), lambda g: (g * np.minimum(out.data, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +476,10 @@ def layer_norm(a, gain, bias, eps=1e-5):
 # input slices, the backward pass computes its per-tap products, while the
 # run is in cache.
 CONV_BLOCK_BYTES = 1 << 20
+# Pixels per image from which a pair's two backbone passes (batch 1 each) and
+# block sides run in `fork_join` lanes. Median match_pair ms, lanes vs batch, on
+# 2 vCPUs: 96² 26-30 vs 17-22, 128² 37-43 vs 27-44, 160² 36-46 vs 50-66.
+LANE_PIXELS = 160 * 160
 
 
 def conv2d(x, kernel, stride=1, padding=0, bias=None):

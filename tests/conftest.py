@@ -8,18 +8,20 @@ from rotmatch import tensor as T
 
 @pytest.fixture
 def lanes(monkeypatch):
-    """Make every `tensor.share` call that gets two lanes use both: each
-    lane waits after drawing its first item until the other has drawn one,
-    and the calling thread's lane then starts 5 ms late, so the worker's
-    first items finish before the caller's. Returns a list with one
-    (item count, set of thread idents that drew items) per call."""
+    """Make every `tensor.share` call that gets two lanes, and is not made
+    inside a lane of another, use both: each lane waits after drawing its
+    first item until the other has drawn one, and the calling thread's lane
+    then starts 5 ms late, so the worker's first items finish before the
+    caller's. A call inside a lane runs unpaced: the pool's worker may be
+    busy with the outer call. Returns a list with one (item count, set of
+    thread idents that drew items) per call."""
     share = T.share
-    calls = []
+    calls, outer = [], []
 
-    def paced(lane, items):
+    def paced(lane, items, per_lane=8):
         threads, caller = set(), threading.get_ident()
         calls.append((len(items), threads))
-        both = min(T.CPUS, len(items) // 8) >= 2
+        both = not outer and min(T.LANES, len(items) // per_lane) >= 2
         barrier = threading.Barrier(2, timeout=30)
 
         def draw(queue):
@@ -31,7 +33,11 @@ def lanes(monkeypatch):
                         time.sleep(0.005)
                 yield item
 
-        return share(lambda queue: lane(draw(queue)), items)
+        outer.append(both)
+        try:
+            return share(lambda queue: lane(draw(queue)), items, per_lane)
+        finally:
+            outer.pop()
 
     monkeypatch.setattr(T, "share", paced)
     return calls

@@ -294,3 +294,51 @@ def test_inference_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
     assert len(out[0]) == 8 and out[0] == out[1]
+
+
+_LANED_MATCH_HASH = r"""
+import hashlib, os, threading
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+import numpy as np
+from rotmatch import matcher as M, tensor as T
+from rotmatch.backbone import Backbone
+from rotmatch.config import Config
+from rotmatch.model import MatcherModel
+from rotmatch.steerable import calibrate_norm_stats
+from rotmatch.tensor import Tensor
+
+cfg = Config.default()
+cfg.backbone.variant = "c4star"
+cfg.backbone.base_width = 24
+cfg.matcher.d_model = 32
+cfg.matcher.n_blocks = 2
+model = MatcherModel(cfg, rng=np.random.default_rng(0))
+pair = np.random.default_rng(1).random((2, 3, 240, 320)).astype(np.float32)
+calibrate_norm_stats(model.backbone, Tensor(pair))
+model.eval()
+tokens, threads = [], set()
+select, backbone = M.mutual_matches, Backbone.__call__
+M.mutual_matches = lambda a, b, theta: tokens.append(a.tobytes() + b.tobytes()) or select(a, b, theta)
+Backbone.__call__ = lambda self, x: threads.add(threading.get_ident()) or backbone(self, x)
+mset, matches, dropped = model.match_pair(pair[0], pair[1])
+out = b"".join(tokens + [mset.idx_a.tobytes(), mset.idx_b.tobytes(), mset.confidence.tobytes(),
+                         repr((matches, dropped)).encode()])
+print(T.LANES, T._POOL is not None, len(threads), hashlib.sha256(out).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_lanes_leave_cores_to_blas_threads():
+    # on 2 CPUs, 2 OpenBLAS threads leave no core for a second lane: no pool
+    # is made, even at a size whose two images would each get a lane
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rotmatch.__file__)))
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _LANED_MATCH_HASH], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        out[threads] = proc.stdout.split()
+    assert out["1"][:3] == ["2", "True", "2"]
+    assert out["2"][:3] == ["1", "False", "1"]
+    assert out["1"][3] == out["2"][3]

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,13 +8,16 @@ import pytest
 from rotmatch import matcher as M
 from rotmatch import tensor as T
 
-from rotmatch.backbone import FINE_STRIDE
+from rotmatch.backbone import FINE_STRIDE, Backbone
+from rotmatch.config import Config
 from rotmatch.matcher import (FINE_WINDOW, CoarseMatcher, CoarseMatchSet,
                               FineMatcher, MatcherConfig, add_positional_encoding,
                               dual_softmax, mutual_matches,
                               positional_encoding, read_match_file,
                               write_match_file)
-from rotmatch.tensor import Tensor
+from rotmatch.model import MatcherModel
+from rotmatch.steerable import calibrate_norm_stats
+from rotmatch.tensor import GradientTape, Tensor, backward
 
 
 def dense_mutual(a, b, theta):
@@ -208,7 +213,7 @@ class TestMutualMatches:
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", 5 * s * np.dtype(dtype).itemsize)
         out = []
         for cpus in (1, 2):
-            monkeypatch.setattr(T, "CPUS", cpus)
+            monkeypatch.setattr(T, "LANES", cpus)
             out.append(mutual_matches(a, b, theta))
         assert [len(threads) for _, threads in lanes] == [1, 2]
         assert lanes[0][0] == lanes[1][0] == 43
@@ -468,6 +473,115 @@ class TestFineMatcher:
             wy = (rb * 4 + 2 + 0.5) * 2
             assert abs(m.point_b[0] - wx) <= bound
             assert abs(m.point_b[1] - wy) <= bound
+
+
+@pytest.fixture(scope="module")
+def pair_model():
+    """Criterion 8's model config, its norms calibrated on a 240x320 pair,
+    which is past `tensor.LANE_PIXELS`: each image's backbone and each side
+    of a coarse block run in lanes."""
+    cfg = Config.default()
+    cfg.backbone.variant = "c4star"
+    cfg.backbone.base_width = 24
+    cfg.matcher.d_model = 32
+    cfg.matcher.n_blocks = 2
+    model = MatcherModel(cfg, rng=np.random.default_rng(0))
+    pair = np.random.default_rng(1).random((2, 3, 240, 320)).astype(np.float32)
+    assert 240 * 320 >= T.LANE_PIXELS
+    calibrate_norm_stats(model.backbone, Tensor(pair))
+    return model.eval(), pair
+
+
+class TestPairLanes:
+    @staticmethod
+    def match(model, pair):
+        """match_pair's bytes (the tokens it matches, then its matches), the
+        (input, coarse, fine) arrays of its backbone passes, and the threads
+        that ran those passes and the attention blocks."""
+        tokens, passes, threads = [], [], {"backbone": set(), "block": set()}
+        select, backbone, block = M.mutual_matches, Backbone.__call__, M.AttentionBlock.__call__
+
+        def run_backbone(self, x):
+            threads["backbone"].add(threading.get_ident())
+            coarse, fine = backbone(self, x)
+            passes.append((x.data, coarse.data, fine.data))
+            return coarse, fine
+
+        def run_block(self, x, source):
+            threads["block"].add(threading.get_ident())
+            return block(self, x, source)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "mutual_matches", lambda a, b, theta: (
+                tokens.append(a.tobytes() + b.tobytes()) or select(a, b, theta)))
+            mp.setattr(Backbone, "__call__", run_backbone)
+            mp.setattr(M.AttentionBlock, "__call__", run_block)
+            mset, matches, dropped = model.match_pair(*pair)
+        out = b"".join(tokens + [mset.idx_a.tobytes(), mset.idx_b.tobytes(),
+                                 mset.confidence.tobytes(), repr((matches, dropped)).encode()])
+        return out, passes, threads
+
+    def test_two_lanes_give_one_lane_bytes(self, pair_model, lanes, monkeypatch):
+        model, pair = pair_model
+        runs = {}
+        for n in (1, 2):
+            monkeypatch.setattr(T, "LANES", n)
+            runs[n] = self.match(model, pair)
+        assert runs[1][0] == runs[2][0]
+        for n, (_, passes, threads) in runs.items():
+            assert [x.shape[0] for x, _, _ in passes] == [1, 1]
+            assert [len(t) for t in threads.values()] == [n, n]
+
+    def test_image_features_match_the_batch(self, pair_model):
+        # a batch-1 pass convolves in runs twice as long as the batch-2
+        # pass's, which rounds differently
+        model, pair = pair_model
+        coarse, fine = model.features(Tensor(pair))
+        _, passes, _ = self.match(model, pair)
+        for x, c, f in passes:
+            i = [np.array_equal(x[0], img) for img in pair].index(True)
+            for got, want in ((c[0], coarse.data[i]), (f[0], fine.data[i])):
+                assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_embed_under_a_tape_runs_here(self, pair_model, monkeypatch):
+        model, pair = pair_model
+        coarse, _ = model.features(Tensor(pair))
+        rng = np.random.default_rng(2)
+        ra, rb = (Tensor(rng.normal(size=(1200, 32)).astype(np.float32)) for _ in range(2))
+        params = model.coarse.parameters()
+
+        def grads(n):
+            monkeypatch.setattr(T, "LANES", n)
+            with GradientTape() as tape:
+                tape.watch(*params)
+                fa, fb = model.coarse.embed(Tensor(coarse.data[0]), Tensor(coarse.data[1]))
+                g = backward(T.sum_(fa * ra) + T.sum_(fb * rb), tape)
+            return [g[p].tobytes() for p in params]
+
+        monkeypatch.setattr(T, "_POOL", None)
+        laned = grads(2)
+        assert T._POOL is None
+        assert laned == grads(1)
+
+    def test_error_in_one_image_reaches_the_caller_after_the_other(self, pair_model, lanes,
+                                                                   monkeypatch):
+        model, pair = pair_model
+        monkeypatch.setattr(T, "LANES", 2)
+        backbone, done = Backbone.__call__, []
+
+        def faulty(self, x):
+            if np.array_equal(x.data[0], pair[1]):
+                raise ValueError("image B")
+            out = backbone(self, x)
+            time.sleep(0.05)
+            done.append(threading.get_ident())
+            return out
+
+        monkeypatch.setattr(Backbone, "__call__", faulty)
+        with pytest.raises(ValueError, match="image B"):
+            model.match_pair(*pair)
+        assert len(done) == 1
+        assert [len(threads) for n, threads in lanes if n == 2][:1] == [2]
 
 
 class TestMatchFile:

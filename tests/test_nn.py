@@ -4,6 +4,7 @@ import pytest
 from rotmatch.config import Config
 from rotmatch.model import MatcherModel
 from rotmatch.nn import Linear, Module
+from rotmatch import tensor as T
 from rotmatch.tensor import Tensor
 
 
@@ -106,6 +107,53 @@ class TestModuleWalker:
         with tree.mode(True):
             assert all(m.training for m in tree.modules())
         assert calls == [True, False] and not any(m.training for m in tree.modules())
+
+    def test_mode_covers_a_mixed_tree(self):
+        tree = Tree()
+        tree.eval()
+        tree.layers[2].train()
+        with tree.mode(False):
+            assert not any(m.training for m in tree.modules())
+        assert [m.training for m in tree.modules()] == [False, False, False, True, False]
+        with tree.mode(True):
+            assert all(m.training for m in tree.modules())
+        assert [m.training for m in tree.modules()] == [False, False, False, True, False]
+
+    def test_mode_walks_only_after_a_change(self, monkeypatch):
+        tree = Tree()
+        walks, walk = [], Module._walk
+
+        def counted(self, prefix=""):
+            if not prefix:
+                walks.append(self)
+            return walk(self, prefix)
+
+        monkeypatch.setattr(Module, "_walk", counted)
+        tree.eval()
+        walks.clear()
+        for _ in range(3):
+            with tree.mode(False):
+                pass
+        assert walks == []
+        tree.first.train()
+        walks.clear()
+        with tree.mode(False):
+            assert not tree.first.training
+        assert walks and walks[0] is tree and tree.first.training
+
+    def test_match_pair_leaves_a_training_child_unchanged(self):
+        # at 240x320 each image's backbone runs on its own lane; a backbone
+        # in training mode would norm by batch statistics and write its
+        # running buffers from both lanes
+        model = MatcherModel(Config.default())
+        model.eval()
+        model.backbone.train()
+        before = {k: v.tobytes() for k, v in model.state_dict().items()}
+        img = np.random.default_rng(0).random((2, 3, 240, 320))
+        assert 240 * 320 >= T.LANE_PIXELS
+        model.match_pair(img[0], img[1])
+        assert {k: v.tobytes() for k, v in model.state_dict().items()} == before
+        assert model.backbone.training and not model.coarse.training
 
     def test_matcher_state_dict_order(self):
         keys = list(MatcherModel(Config.default()).state_dict())

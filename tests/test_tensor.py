@@ -1,4 +1,6 @@
 import inspect
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -197,7 +199,7 @@ class TestConv2d:
         pad = min(k // 2, 1)
 
         def run(cpus):
-            monkeypatch.setattr(T, "CPUS", cpus)
+            monkeypatch.setattr(T, "LANES", cpus)
             params = [Tensor(v, requires_grad=True, dtype=dtype)
                       for v in ((x, kern, bvec) if bias else (x, kern))]
             with GradientTape() as tape:
@@ -222,10 +224,34 @@ class TestConv2d:
                      bias=Tensor(np.zeros(2)))
 
 
+_SHARE_INSIDE_A_LANE = """
+import threading
+from rotmatch import tensor as T
+
+T.LANES = 2
+barrier, lock = threading.Barrier(2, timeout=30), threading.Lock()
+got, threads = [], set()
+
+def inner(queue):
+    squares = [v * v for v in queue]
+    with lock:
+        got.extend(squares)
+
+def outer(queue):
+    for item in queue:
+        barrier.wait()   # both lanes hold an item
+        threads.add(threading.get_ident())
+        T.share(inner, list(range(16 * item, 16 * item + 16)))
+
+T.share(outer, [0, 1], per_lane=1)
+print(len(threads), sum(got) if sorted(got) == [v * v for v in range(32)] else "wrong")
+"""
+
+
 class TestShare:
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_error_reaches_caller_after_every_lane_ends(self, where, monkeypatch):
-        monkeypatch.setattr(T, "CPUS", 2)
+        monkeypatch.setattr(T, "LANES", 2)
         caller, busy, lock = threading.get_ident(), [], threading.Lock()
         barrier = threading.Barrier(2, timeout=30)
 
@@ -247,7 +273,7 @@ class TestShare:
         assert busy == []
 
     def test_one_lane_below_eight_items_per_lane(self, monkeypatch):
-        monkeypatch.setattr(T, "CPUS", 2)
+        monkeypatch.setattr(T, "LANES", 2)
         monkeypatch.setattr(T, "_POOL", None)
         threads = set()
 
@@ -257,6 +283,17 @@ class TestShare:
 
         T.share(lane, list(range(15)))
         assert threads == {threading.get_ident()} and T._POOL is None
+
+    def test_call_inside_a_lane_returns(self):
+        # one pool worker, running the outer call's second lane: each inner
+        # call queues a job behind it, which that thread alone could start.
+        # A child process, as a hang would also block the pool's exit join
+        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _SHARE_INSIDE_A_LANE],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", str(sum(v * v for v in range(32)))]
 
     def test_concurrent_callers_get_serial_bytes(self, monkeypatch):
         # three callers share one pool worker; jobs that did not start are
@@ -275,9 +312,9 @@ class TestShare:
             y = T.conv2d(x, kern, stride=2, padding=1).data.tobytes()
             return y + b"".join(v.tobytes() for v in M.mutual_matches(a, b, 0.05))
 
-        monkeypatch.setattr(T, "CPUS", 1)
+        monkeypatch.setattr(T, "LANES", 1)
         want = work()
-        monkeypatch.setattr(T, "CPUS", 2)
+        monkeypatch.setattr(T, "LANES", 2)
         got, errors = [], []
 
         def caller():
@@ -299,6 +336,25 @@ class TestShare:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
         assert got == [want] * 15
+
+
+class TestElu1:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_where(self, dtype):
+        x = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, -800.0, 1e-30, -1e-30],
+                     dtype=dtype)
+        rng = np.random.default_rng(0)
+        x = np.concatenate([x, (3 * rng.normal(size=1000)).astype(dtype)])
+        g = rng.normal(size=x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        with GradientTape() as tape:
+            tape.watch(xt)
+            out = T.elu1(xt)
+            grads = backward(T.sum_(out * Tensor(g)), tape)
+        want = np.where(x > 0, x + 1, np.exp(np.minimum(x, 0)))
+        assert out.dtype == want.dtype == dtype
+        assert out.data.tobytes() == want.tobytes()
+        assert grads[xt].tobytes() == (g * np.where(x > 0, 1, want)).tobytes()
 
 
 class TestRelu:
