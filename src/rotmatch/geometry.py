@@ -27,7 +27,8 @@ class Homography:
             raise ValueError("Homography requires a 3x3 matrix")
         if not np.isfinite(m).all():
             raise ValueError("Homography matrix has non-finite entries")
-        if abs(np.linalg.det(m)) < 1e-15:
+        # against the matrix's own scale: |det m| is at most ‖m‖³ / 3^1.5
+        if abs(np.linalg.det(m)) <= 1e-15 * np.linalg.norm(m) ** 3:
             raise ValueError("Homography matrix is singular")
         object.__setattr__(self, "matrix", m)
 

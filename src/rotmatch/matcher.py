@@ -118,9 +118,9 @@ def mutual_matches(a, b, theta_c):
     exceeds theta_c / 2 become candidates. The log-confidence L = 2s - r - c
     is then computed in float64 for the candidates only, and a candidate is
     kept if it is the first maximum of L among the candidates of its row and
-    of its column, with exp(L) > theta_c. The blocks are spread over
-    `tensor.share` lanes; each keeps its sums and candidates in its own
-    slot, and c is summed in block order, so no bit depends on the lanes.
+    of its column, with exp(L) > theta_c. Each block is one `tensor.fork_join`
+    call, which returns its sums and candidates in block order, and c is
+    summed in that order, so no bit depends on the lanes.
 
     This is exact. The confidence is the row softmax times a column softmax
     of at most 1, so a kept pair has row softmax > theta_c, and so has every
@@ -150,22 +150,19 @@ def mutual_matches(a, b, theta_c):
                          f"{dt} exp sums over {max(t, s)} tokens need at most {bound:.4g}")
     bt = np.ascontiguousarray(b.T)
     n = max(1, SCORE_BLOCK_BYTES // (s * bt.itemsize))
-    blocks = list(enumerate(slice(i, min(i + n, t)) for i in range(0, t, n)))
-    r, cols, flat = np.empty(t), [None] * len(blocks), [None] * len(blocks)
 
-    def sweep(queue):   # one lane: its blocks' results go to their own slots
-        for j, rows in queue:
-            e = _block_scores(a, bt, rows)
-            np.exp(e, out=e)
-            sums = e.sum(axis=1)
-            r[rows] = sums
-            cols[j] = np.ones(e.shape[0], dt) @ e
-            # flat indices: 2-D np.nonzero is ~10x slower on these blocks
-            flat[j] = rows.start * s + np.flatnonzero(e > (theta_c / 2) * sums[:, None])
+    def sweep(rows):   # one block: its row sums, column sums and candidates
+        e = _block_scores(a, bt, rows)
+        np.exp(e, out=e)
+        sums = e.sum(axis=1)
+        # flat indices: 2-D np.nonzero is ~10x slower on these blocks
+        cand = rows.start * s + np.flatnonzero(e > (theta_c / 2) * sums[:, None])
+        return sums, np.ones(e.shape[0], dt) @ e, cand
 
-    T.share(sweep, blocks)
-    c = sum(cols, np.zeros(s))   # in block order, whichever lane made each
-    r, c = np.log(r), np.log(c)
+    rs, cols, flat = zip(*T.fork_join([lambda i=i: sweep(slice(i, min(i + n, t)))
+                                       for i in range(0, t, n)]))
+    r = np.log(np.concatenate(rs, dtype=np.float64))
+    c = np.log(sum(cols, np.zeros(s)))   # in block order, whichever lane made each
     ia, ib = np.divmod(np.concatenate(flat), s)
     L = 2 * np.einsum("ij,ij->i", a[ia], b[ib], dtype=np.float64) - r[ia] - c[ib]
     conf = np.exp(L)
@@ -269,14 +266,16 @@ class CoarseMatcher(Module):
 
     def transform(self, fa, fb):
         """Project and run the attention stack on [b, t, d] sequences.
-        Cross blocks update both sides in parallel with shared weights. A
-        block's two sides run in `tensor.fork_join` lanes, joined after it."""
+        Cross blocks update both sides in parallel with shared weights. From
+        `tensor.LANE_PIXELS` pixels per image on, a block's two sides run in
+        `tensor.fork_join` lanes, joined after it."""
         fa = self.proj(fa)
         fb = self.proj(fb)
-        pixels = min(fa.shape[1], fb.shape[1]) * COARSE_STRIDE ** 2
+        laned = min(fa.shape[1], fb.shape[1]) * COARSE_STRIDE ** 2 >= T.LANE_PIXELS
         for blk, kind in zip(self.blocks, self.kinds):
             src_a, src_b = (fa, fb) if kind == "self" else (fb, fa)
-            fa, fb = T.fork_join([lambda: blk(fa, src_a), lambda: blk(fb, src_b)], pixels)
+            sides = [lambda: blk(fa, src_a), lambda: blk(fb, src_b)]
+            fa, fb = T.fork_join(sides) if laned else [side() for side in sides]
         return fa, fb
 
     def embed(self, feat_a, feat_b):

@@ -4,12 +4,13 @@ single-file checkpoint save/load (the config text sits in the manifest).
 
 import numpy as np
 
+from . import tensor as T
 from .backbone import Backbone, check_image
 from .checkpoint import checkpoint_config, load_checkpoint, save_checkpoint
 from .config import load_config
 from .matcher import CoarseMatcher, FineMatcher
 from .nn import Module
-from .tensor import LANE_PIXELS, Tensor, fork_join
+from .tensor import Tensor
 
 
 class MatcherModel(Module):
@@ -44,11 +45,11 @@ class MatcherModel(Module):
                              f"one size")
         with self.mode(False):
             imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
-            if imgs[0, 0].size < LANE_PIXELS:
+            if imgs[0, 0].size < T.LANE_PIXELS:
                 coarse, fine = (v.data for v in self.backbone(Tensor(imgs)))
             else:
-                coarse, fine = zip(*((c.data[0], f.data[0]) for c, f in fork_join(
-                    [lambda x=x: self.backbone(Tensor(x[None])) for x in imgs], imgs[0, 0].size)))
+                coarse, fine = zip(*((c.data[0], f.data[0]) for c, f in T.fork_join(
+                    [lambda x=x: self.backbone(Tensor(x[None])) for x in imgs])))
             mset = self.coarse.match(Tensor(coarse[0]), Tensor(coarse[1]))
             matches, dropped = self.fine.refine(Tensor(fine[0]), Tensor(fine[1]), mset)
         return mset, matches, dropped

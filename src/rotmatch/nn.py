@@ -16,13 +16,20 @@ class Module:
     deterministic.
     """
 
-    _epoch = 0   # bumped by each new module and `train` call, anywhere
+    _epoch = 0   # bumped by each new module, child assignment and `train` call, anywhere
 
     def __init__(self):
         self._buffers = {}
         self._training = True
         self._seen = (None, None)   # (epoch, the tree's mode then, None if mixed)
         Module._epoch += 1
+
+    def __setattr__(self, name, value):
+        # a child swapped in may be in another mode than its tree: `mode` walks again
+        if isinstance(value, Module) or (isinstance(value, (list, tuple))
+                                         and any(isinstance(v, Module) for v in value)):
+            Module._epoch += 1
+        object.__setattr__(self, name, value)
 
     def register_buffer(self, name, array):
         self._buffers[name] = np.asarray(array)

@@ -13,7 +13,6 @@ import threading
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-CPUS = len(os.sched_getaffinity(0))
 
 
 def _blas_threads():
@@ -31,7 +30,8 @@ def _blas_threads():
     return 1
 
 
-LANES = max(1, CPUS // _blas_threads())   # lanes that `share` may run, BLAS threads each
+# lanes that `fork_join` may run, BLAS threads each
+LANES = max(1, len(os.sched_getaffinity(0)) // _blas_threads())
 _POOL, _POOL_LOCK = None, threading.Lock()   # LANES - 1 worker threads, made on first use
 
 # the tape that records ops run in this thread or context, if any
@@ -167,45 +167,37 @@ def _record(out, parents, backward_fn):
     return out
 
 
-def share(lane, items, per_lane=8):
-    """Run lane(queue) in min(LANES, len(items) // per_lane) lanes, this
-    thread and pool threads, all drawing from one iterator over the list
-    `items` (`next` on it is atomic under the GIL); below 2 lanes, only here.
-    Jobs not yet started are cancelled, not waited for, so neither a busy pool
-    nor a call inside another `share`'s lane waits; started ones are waited
-    for before an exception propagates. Lanes record nothing on a tape."""
+def fork_join(calls):
+    """The results of the independent zero-argument `calls`, in order, run in
+    min(LANES, len(calls)) lanes: this thread and pool threads, all drawing
+    from one iterator over the calls (`next` on it is atomic under the GIL).
+    All run here while a tape records on this thread (lanes record nothing on
+    it). Calls not yet started are cancelled, not waited for, so neither a
+    busy pool nor a call inside another `fork_join`'s lane waits; started ones
+    are waited for before an exception propagates."""
     global _POOL
-    queue = iter(items)
-    lanes = min(LANES, len(items) // per_lane)
-    if lanes < 2:
-        return lane(queue)
+    lanes = min(LANES, len(calls))
+    if lanes < 2 or _ACTIVE_TAPE.get() is not None:
+        return [call() for call in calls]
     from concurrent.futures import ThreadPoolExecutor, wait   # loaded only if lanes run
     with _POOL_LOCK:
         if _POOL is None:
             _POOL = ThreadPoolExecutor(LANES - 1, thread_name_prefix="rotmatch-lane")
-    jobs = [_POOL.submit(lane, queue) for _ in range(lanes - 1)]
+    out, queue = [None] * len(calls), iter(range(len(calls)))
+
+    def lane():
+        for i in queue:
+            out[i] = calls[i]()
+
+    jobs = [_POOL.submit(lane) for _ in range(lanes - 1)]
     try:
-        lane(queue)
+        lane()
     finally:
         # `wait` counts a cancelled job done only once a pool thread dequeues it
         wait([job for job in jobs if not job.cancel()])
     for job in jobs:
         if not job.cancelled():
             job.result()   # raises what the lane raised
-
-
-def fork_join(calls, pixels):
-    """The results of the independent zero-argument `calls`, in order, each one
-    `share` item once `pixels` (image pixels per call) reach LANE_PIXELS and
-    no tape records on this thread (lanes record nothing on it)."""
-    if pixels < LANE_PIXELS or _ACTIVE_TAPE.get() is not None:
-        return [call() for call in calls]
-    out = [None] * len(calls)
-
-    def lane(queue):
-        for i in queue:
-            out[i] = calls[i]()
-    share(lane, range(len(calls)), per_lane=1)
     return out
 
 
@@ -507,9 +499,7 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
     one tap, whose GEMM reads the slice without a copy. The backward pass
     runs the same slices per tap: one g @ sliceᵀ GEMM per tap for the kernel
     gradient and kernelᵀ @ g added at the tap's offset for the input
-    gradient, in runs of CONV_BLOCK_BYTES of per-tap products. Forward runs
-    are shared out over `share` lanes; backward runs overlap in the input
-    gradient, and the kernel gradient's sum order is fixed, so they do not.
+    gradient, in runs of CONV_BLOCK_BYTES of per-tap products.
     """
     b, ci, h, w = x.data.shape
     co, cik, k, kw = kernel.data.shape
@@ -550,22 +540,20 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
 
     acc = np.empty((b, co, ho * ws), dtype=dtype)
     fwd_runs = runs(max(co, k * k * ci))
-
-    def fill(queue):   # one lane: its own stack buffer, its own runs of acc
-        if k > 1:
-            stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype)
-        for r0, r1 in queue:
-            if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
-                st = parts[0, 0, :, :, r0:r1]
-            else:
-                st = stack[:, :, :r1 - r0]
-                for i, (u, v, a, c, off) in enumerate(taps):
-                    st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
-            np.matmul(kstack, st, out=acc[:, :, r0:r1])
-            if bias is not None:
-                acc[:, :, r0:r1] += bias.data[:, None]
-
-    share(fill, fwd_runs)
+    stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype) if k > 1 else None
+    for r0, r1 in fwd_runs:
+        if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
+            st = parts[0, 0, :, :, r0:r1]
+        else:
+            st = stack[:, :, :r1 - r0]
+            for i, (u, v, a, c, off) in enumerate(taps):
+                st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
+        np.matmul(kstack, st, out=acc[:, :, r0:r1])
+        if bias is not None:
+            acc[:, :, r0:r1] += bias.data[:, None]
+    # free the run buffer before the output copy, which may then reuse its
+    # memory: batch-2 convs at 32x32 and 64x64 that kept it took twice as long
+    del stack, st
     out = Tensor(acc.reshape(b, co, ho, ws)[:, :, :, :wo])
 
     def bwd(g):

@@ -274,7 +274,7 @@ for h, w in ((96, 96), (240, 320)):
 fa, fb = model.coarse.embed(Tensor(coarse.data[0]), Tensor(coarse.data[1]))
 print(hashlib.sha256(fa.data.tobytes() + fb.data.tobytes()).hexdigest())
 # mutual_matches of the 240x320 pair's coarse tokens, scaled to length 8, in
-# blocks of 13 score rows: 93 blocks, so the sweep runs in lanes too
+# blocks of 13 score rows: 93 blocks, one `fork_join` call each
 M.SCORE_BLOCK_BYTES = 1 << 16
 a, b = (8 * v / np.linalg.norm(v, axis=0) for v in coarse.data.reshape(2, coarse.shape[1], -1))
 print(hashlib.sha256(b"".join(v.tobytes() for v in M.mutual_matches(a.T, b.T, 0.05))).hexdigest())
@@ -284,7 +284,8 @@ print(hashlib.sha256(b"".join(v.tobytes() for v in M.mutual_matches(a.T, b.T, 0.
 def test_inference_independent_of_blas_threads():
     # OpenBLAS splits a GEMM's output between threads, never its sums; the
     # conv and score GEMM shapes must keep inference bit-identical across
-    # thread counts; the 240x320 pair's large convs and its sweep run in lanes
+    # thread counts; the 240x320 pair's coarse block sides and its score
+    # sweep run in `fork_join` lanes wherever a core is left for a second lane
     src = os.path.dirname(os.path.dirname(os.path.abspath(rotmatch.__file__)))
     out = []
     for threads in ("1", "2"):
@@ -296,6 +297,9 @@ def test_inference_independent_of_blas_threads():
     assert len(out[0]) == 8 and out[0] == out[1]
 
 
+# match_pair on a 240x320 pair: with one OpenBLAS thread on 2 CPUs, each
+# image's backbone pass, each side of a coarse block and the score sweep run
+# in `fork_join` lanes; the convs inside a backbone pass run on its lane
 _LANED_MATCH_HASH = r"""
 import hashlib, os, threading
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])

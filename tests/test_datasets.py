@@ -124,8 +124,9 @@ class TestLoadSequence:
         save_sequence(tmp_path, seq)
         with open(tmp_path / "scene" / "H_1_2", "w") as f:
             f.write("0 0 0 0 0 0 0 0 0\n")
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="singular") as err:
             load_sequence(tmp_path / "scene")
+        assert str(tmp_path / "scene" / "H_1_2") in str(err.value)
 
     @pytest.mark.parametrize("bad,message", [("nan", "non-finite"), ("inf", "non-finite"),
                                              ("x", "'x'")])

@@ -26,6 +26,18 @@ class TestHomographyType:
         with pytest.raises(ValueError, match="singular"):
             Homography(np.zeros((3, 3)))
 
+    def test_small_identity_accepted(self):
+        # the identity map, written at a small scale: det 1e-18
+        h = Homography(np.eye(3) * 1e-6)
+        assert np.allclose(h.apply([3.0, 4.0]), [3.0, 4.0])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_verdict_independent_of_scale(self, scale):
+        h = random_homography(np.random.default_rng(3), scale=100.0)
+        assert projective_distance(Homography(h.matrix * scale), h) < 1e-12
+        with pytest.raises(ValueError, match="singular"):
+            Homography(np.array([[1.0, 2, 3], [2, 4, 6], [0, 0, 1]]) * scale)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         m = np.eye(3)

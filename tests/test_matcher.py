@@ -196,30 +196,41 @@ class TestMutualMatches:
         mutual_matches(a, b, 0.0)
         assert sorted(made) == list(range(t))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("theta", [0.01, 0.2])
-    def test_lanes_bit_identical(self, theta, dtype, lanes, monkeypatch):
-        # 5 rows per block: 43 blocks, the last of 1 row. A last coordinate,
-        # 5.6 in a and -5.6 in b, shifts every score by -31.36 and leaves the
-        # confidence as it is; it brings the column sums near 1, where their
-        # log keeps their last bits, so that in float64 another order of
-        # summing them changes the output
+    @staticmethod
+    def laned(theta, dtype, rows, blocks, lanes, monkeypatch):
+        """Assert that mutual_matches gives the same bytes in 1 and 2 lanes, at
+        `rows` rows per block of 211. A last coordinate, 5.6 in a and -5.6 in
+        b, shifts every score by -31.36 and leaves the confidence as it is;
+        it brings the column sums near 1, where their log keeps their last
+        bits, so that in float64 another order of summing them changes the
+        output."""
         rng = np.random.default_rng(19)
         t, s, d = 211, 97, 8
         b = unit(rng.normal(size=(s, d)))
         a = 6.0 * unit(b[rng.integers(0, s, t)] + 0.3 * rng.normal(size=(t, d)))
         a = np.hstack([a, np.full((t, 1), 5.6)]).astype(dtype)
         b = np.hstack([6.0 * b, np.full((s, 1), -5.6)]).astype(dtype)
-        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", 5 * s * np.dtype(dtype).itemsize)
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * np.dtype(dtype).itemsize)
         out = []
         for cpus in (1, 2):
             monkeypatch.setattr(T, "LANES", cpus)
             out.append(mutual_matches(a, b, theta))
         assert [len(threads) for _, threads in lanes] == [1, 2]
-        assert lanes[0][0] == lanes[1][0] == 43
+        assert lanes[0][0] == lanes[1][0] == blocks
         assert len(out[0][0]) >= 20
         for got, want in zip(*out):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("theta", [0.01, 0.2])
+    def test_lanes_bit_identical(self, theta, dtype, lanes, monkeypatch):
+        # 5 rows per block: 43 blocks, the last of 1 row
+        self.laned(theta, dtype, 5, 43, lanes, monkeypatch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_three_blocks_in_two_lanes(self, dtype, lanes, monkeypatch):
+        # 71 rows per block: one block per call, so 3 blocks get two lanes
+        self.laned(0.2, dtype, 71, 3, lanes, monkeypatch)
 
     @pytest.mark.parametrize("rows", [12, 5, 1])
     def test_ties_first_index_wins(self, rows, monkeypatch):
@@ -479,7 +490,7 @@ class TestFineMatcher:
 def pair_model():
     """Criterion 8's model config, its norms calibrated on a 240x320 pair,
     which is past `tensor.LANE_PIXELS`: each image's backbone and each side
-    of a coarse block run in lanes."""
+    of a coarse block run in `tensor.fork_join` lanes."""
     cfg = Config.default()
     cfg.backbone.variant = "c4star"
     cfg.backbone.base_width = 24

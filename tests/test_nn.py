@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotmatch.backbone import Backbone
 from rotmatch.config import Config
 from rotmatch.model import MatcherModel
 from rotmatch.nn import Linear, Module
@@ -154,6 +155,30 @@ class TestModuleWalker:
         model.match_pair(img[0], img[1])
         assert {k: v.tobytes() for k, v in model.state_dict().items()} == before
         assert model.backbone.training and not model.coarse.training
+
+    @pytest.mark.parametrize("wrap", [list, tuple])
+    def test_mode_sees_children_swapped_in(self, wrap):
+        spare = wrap([Leaf(4.0), Leaf(5.0)])   # made before `eval`, in training mode
+        tree = Tree()
+        tree.eval()
+        with tree.mode(False):
+            pass
+        tree.layers = spare
+        with tree.mode(False):
+            assert not any(m.training for m in tree.modules())
+        assert [m.training for m in spare] == [True, True]
+
+    def test_match_pair_sees_a_backbone_swapped_in(self):
+        cfg = Config.default()
+        spare = Backbone(cfg.backbone)   # made before `eval`, in training mode
+        model = MatcherModel(cfg)
+        model.eval()
+        model.backbone = spare
+        before = {k: v.tobytes() for k, v in model.state_dict().items()}
+        img = np.random.default_rng(0).random((2, 3, 64, 64))
+        model.match_pair(img[0], img[1])
+        assert {k: v.tobytes() for k, v in model.state_dict().items()} == before
+        assert spare.training
 
     def test_matcher_state_dict_order(self):
         keys = list(MatcherModel(Config.default()).state_dict())

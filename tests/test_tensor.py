@@ -189,34 +189,27 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_lanes_bit_identical(self, k, stride, bias, dtype, lanes, monkeypatch):
-        # c_out = 32 sets forward runs of 4096 / (2 * 32 * itemsize) = 16 or
-        # 8 positions: 17 to 144 runs, 17 for k = 1 at stride 2 in float32
+        # from LANE_PIXELS on, each image's backbone pass runs on its own
+        # `fork_join` lane, so two convs run at once: each gives the bytes
+        # it gives alone. Runs of 4096 bytes make each conv 9 to 72 GEMMs
         monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
         rng = np.random.default_rng(50 + 10 * k + 2 * stride + bias)
-        x = rng.normal(size=(2, 2, 32, 34))
-        kern = rng.normal(size=(32, 2, k, k))
-        bvec = rng.normal(size=32)
-        pad = min(k // 2, 1)
+        images = rng.normal(size=(2, 1, 2, 32, 34))
+        kern = Tensor(rng.normal(size=(32, 2, k, k)), dtype=dtype)
+        bvec = Tensor(rng.normal(size=32), dtype=dtype) if bias else None
 
-        def run(cpus):
-            monkeypatch.setattr(T, "LANES", cpus)
-            params = [Tensor(v, requires_grad=True, dtype=dtype)
-                      for v in ((x, kern, bvec) if bias else (x, kern))]
-            with GradientTape() as tape:
-                tape.watch(*params)
-                y = T.conv2d(*params[:2], stride=stride, padding=pad,
-                             bias=params[2] if bias else None)
-                assert len(tape._nodes) == 1
-                g = Tensor(np.random.default_rng(1).normal(size=y.shape), dtype=dtype)
-                grads = backward(T.sum_(y * g), tape)
-            return [y.data] + [grads[p] for p in params]
+        def conv(x):
+            return [T.conv2d(Tensor(x, dtype=dtype), kern, stride=stride, padding=min(k // 2, 1),
+                             bias=bvec).data for _ in range(4)]
 
-        serial, shared = run(1), run(2)
-        assert [len(threads) for _, threads in lanes] == [1, 2]
-        assert lanes[0][0] == lanes[1][0] >= 16
-        for got, want in zip(shared, serial):
-            assert got.dtype == want.dtype == dtype
-            assert got.tobytes() == want.tobytes()
+        serial = [conv(x) for x in images]
+        monkeypatch.setattr(T, "LANES", 2)
+        laned = T.fork_join([lambda x=x: conv(x) for x in images])
+        assert [len(threads) for _, threads in lanes] == [2]
+        for got, want in zip(laned, serial):
+            for y in got:
+                assert y.dtype == want[0].dtype == dtype
+                assert y.tobytes() == want[0].tobytes()
 
     def test_bias_shape_checked(self):
         with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
@@ -224,72 +217,70 @@ class TestConv2d:
                      bias=Tensor(np.zeros(2)))
 
 
-_SHARE_INSIDE_A_LANE = """
+_FORK_JOIN_INSIDE_A_LANE = """
 import threading
 from rotmatch import tensor as T
 
 T.LANES = 2
-barrier, lock = threading.Barrier(2, timeout=30), threading.Lock()
-got, threads = [], set()
+barrier = threading.Barrier(2, timeout=30)
+threads = set()
 
-def inner(queue):
-    squares = [v * v for v in queue]
-    with lock:
-        got.extend(squares)
+def outer(item):
+    barrier.wait()   # both lanes hold a call
+    threads.add(threading.get_ident())
+    return T.fork_join([lambda v=v: v * v for v in range(16 * item, 16 * item + 16)])
 
-def outer(queue):
-    for item in queue:
-        barrier.wait()   # both lanes hold an item
-        threads.add(threading.get_ident())
-        T.share(inner, list(range(16 * item, 16 * item + 16)))
-
-T.share(outer, [0, 1], per_lane=1)
-print(len(threads), sum(got) if sorted(got) == [v * v for v in range(32)] else "wrong")
+got = sum(T.fork_join([lambda: outer(0), lambda: outer(1)]), [])
+print(len(threads), sum(got) if got == [v * v for v in range(32)] else "wrong")
 """
 
 
-class TestShare:
+class TestForkJoin:
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_error_reaches_caller_after_every_lane_ends(self, where, monkeypatch):
         monkeypatch.setattr(T, "LANES", 2)
-        caller, busy, lock = threading.get_ident(), [], threading.Lock()
-        barrier = threading.Barrier(2, timeout=30)
+        caller, running, lock = threading.get_ident(), [], threading.Lock()
+        barrier, started = threading.Barrier(2, timeout=30), set()
 
-        def lane(queue):
+        def call(i):
+            me = threading.get_ident()
             with lock:
-                busy.append(1)
+                running.append(i)
             try:
-                barrier.wait()   # both lanes are running
-                for item in queue:
-                    if (threading.get_ident() == caller) == (where == "caller"):
-                        raise ValueError(f"item {item}")
-                    time.sleep(0.001)
+                if me not in started:
+                    started.add(me)
+                    barrier.wait()   # both lanes are running
+                if (me == caller) == (where == "caller"):
+                    raise ValueError(f"call {i}")
+                time.sleep(0.001)
             finally:
                 with lock:
-                    busy.pop()
+                    running.remove(i)
 
-        with pytest.raises(ValueError, match="item"):
-            T.share(lane, list(range(40)))
-        assert busy == []
+        with pytest.raises(ValueError, match="call"):
+            T.fork_join([lambda i=i: call(i) for i in range(40)])
+        assert running == [] and len(started) == 2
 
-    def test_one_lane_below_eight_items_per_lane(self, monkeypatch):
+    def test_one_call_or_a_tape_runs_here(self, monkeypatch):
         monkeypatch.setattr(T, "LANES", 2)
         monkeypatch.setattr(T, "_POOL", None)
-        threads = set()
+        threads = []
 
-        def lane(queue):
-            for _ in queue:
-                threads.add(threading.get_ident())
+        def call(v):
+            threads.append(threading.get_ident())
+            return v
 
-        T.share(lane, list(range(15)))
-        assert threads == {threading.get_ident()} and T._POOL is None
+        assert T.fork_join([lambda: call(7)]) == [7]
+        with GradientTape():
+            assert T.fork_join([lambda v=v: call(v) for v in range(4)]) == [0, 1, 2, 3]
+        assert set(threads) == {threading.get_ident()} and T._POOL is None
 
     def test_call_inside_a_lane_returns(self):
         # one pool worker, running the outer call's second lane: each inner
         # call queues a job behind it, which that thread alone could start.
         # A child process, as a hang would also block the pool's exit join
         src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
-        proc = subprocess.run([sys.executable, "-c", _SHARE_INSIDE_A_LANE],
+        proc = subprocess.run([sys.executable, "-c", _FORK_JOIN_INSIDE_A_LANE],
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -297,19 +288,22 @@ class TestShare:
 
     def test_concurrent_callers_get_serial_bytes(self, monkeypatch):
         # three callers share one pool worker; jobs that did not start are
-        # cancelled, so no caller waits on another's lanes
-        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        # cancelled, so no caller waits on another's lanes. 400 tokens a
+        # side, 20x20 coarse cells, reach LANE_PIXELS: embed runs its block
+        # sides in lanes
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", 4 * 97 * 4)
         rng = np.random.default_rng(60)
-        x = Tensor(rng.normal(size=(2, 4, 40, 40)).astype(np.float32))
-        kern = Tensor(rng.normal(size=(32, 4, 3, 3)).astype(np.float32))
+        cfg = M.MatcherConfig(d_model=16, n_blocks=2, n_heads=2)
+        coarse = M.CoarseMatcher(8, cfg, rng=np.random.default_rng(61))
+        fa, fb = (Tensor(rng.normal(size=(8, 20, 20)).astype(np.float32)) for _ in range(2))
+        assert 20 * 20 * M.COARSE_STRIDE ** 2 >= T.LANE_PIXELS
         b = rng.normal(size=(97, 16))
         a = np.concatenate([b, b, b]) + rng.normal(size=(291, 16))
         a, b = ((4 * v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
                 for v in (a, b))
 
         def work():
-            y = T.conv2d(x, kern, stride=2, padding=1).data.tobytes()
+            y = b"".join(v.data.tobytes() for v in coarse.embed(fa, fb))
             return y + b"".join(v.tobytes() for v in M.mutual_matches(a, b, 0.05))
 
         monkeypatch.setattr(T, "LANES", 1)

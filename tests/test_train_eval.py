@@ -273,13 +273,12 @@ class TestMatchImages:
 
 
 class TestLanes:
-    def test_eval_96_and_train_64_start_no_pool(self, tmp_path, monkeypatch):
+    def test_eval_96_and_train_64_start_no_pool(self, tmp_path, lanes, monkeypatch):
         # the perfbench eval-96 and train-64 shapes (criterion 8's model,
-        # batch 2): no call has the 16 items that two lanes need
-        monkeypatch.setattr(T, "CPUS", 2)
+        # batch 2) are below LANE_PIXELS: even with two lanes to hand, every
+        # `fork_join` call (the score sweep's, of one block) runs here
+        monkeypatch.setattr(T, "LANES", 2)
         monkeypatch.setattr(T, "_POOL", None)
-        items, share = [], T.share
-        monkeypatch.setattr(T, "share", lambda lane, xs: items.append(len(xs)) or share(lane, xs))
         cfg = tiny_config(steps=1)
         cfg.backbone.base_width = 24
         cfg.matcher.d_model = 32
@@ -289,7 +288,8 @@ class TestLanes:
         _, model = train(cfg, str(tmp_path / "train"), str(tmp_path / "run"))
         synth_dataset(str(tmp_path / "test"), 1, 96, 96, seed=22)
         evaluate(model, str(tmp_path / "test"), "r45", cfg)
-        assert items and T._POOL is None, sorted(set(items))
+        assert lanes and T._POOL is None, sorted({n for n, _ in lanes})
+        assert {len(threads) for _, threads in lanes} == {1}
 
 
 class TestEquivarianceCheck:
