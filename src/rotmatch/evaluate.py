@@ -5,7 +5,6 @@ visualization, and the equivariance-check suites.
 import io
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,6 @@ from .geometry import (EstimationFailure, MetricsReport, corner_error, mma,
                        ransac_homography)
 from .imageio import write_ppm
 from .matcher import write_match_file
-from .nn import Module
 from .tensor import Tensor
 
 MAX_MATCHES = 1000    # most confident matches kept for scoring and drawing
@@ -37,9 +35,9 @@ def top_matches(matches):
 
 
 def evaluate_pairs(model, sequences, config):
-    """Run the full matching + homography pipeline over sequence pairs in
-    eval mode, switched to once and restored after; a model without modes
-    (any object with a `match_pair`) is left as it is."""
+    """Run the full matching + homography pipeline over sequence pairs.
+    The model's `match_pair` runs in eval mode and restores the mode it
+    found, so the model is left as it was."""
     ecfg = config.eval
     report = MetricsReport(thresholds=tuple(float(t) for t in ecfg.thresholds))
     tasks = []
@@ -47,29 +45,28 @@ def evaluate_pairs(model, sequences, config):
         for k, img_a, img_b, hom in seq.pairs():
             tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, img_b, hom))
 
-    with model.mode(False) if isinstance(model, Module) else nullcontext():
-        for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
-            _, matches, _ = model.match_pair(img_a, img_b)
-            matches = top_matches(matches)
-            h, w = img_a.shape[1:]
-            failed = False
-            if len(matches) >= 4:
-                pa = np.array([m.point_a for m in matches])
-                pb = np.array([m.point_b for m in matches])
-                try:
-                    h_est, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
-                except (EstimationFailure, ValueError):
-                    h_est = None
-                    failed = True
-            else:
+    for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
+        _, matches, _ = model.match_pair(img_a, img_b)
+        matches = top_matches(matches)
+        h, w = img_a.shape[1:]
+        failed = False
+        if len(matches) >= 4:
+            pa = np.array([m.point_a for m in matches])
+            pb = np.array([m.point_b for m in matches])
+            try:
+                h_est, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
+            except (EstimationFailure, ValueError):
                 h_est = None
                 failed = True
-            err = corner_error(hom, h_est, w, h)
-            if failed:
-                frac = {float(t): 0.0 for t in ecfg.thresholds}
-            else:
-                frac = mma(matches, hom, thresholds=ecfg.thresholds)
-            report.add_pair(pair_id, split, err, frac, failed=failed)
+        else:
+            h_est = None
+            failed = True
+        err = corner_error(hom, h_est, w, h)
+        if failed:
+            frac = {float(t): 0.0 for t in ecfg.thresholds}
+        else:
+            frac = mma(matches, hom, thresholds=ecfg.thresholds)
+        report.add_pair(pair_id, split, err, frac, failed=failed)
     return report
 
 

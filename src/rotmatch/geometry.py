@@ -36,13 +36,14 @@ class Homography:
         return self.matrix.astype(dtype) if dtype else self.matrix
 
     def apply(self, points):
-        """Map (n, 2) points; raises on vanishing denominators."""
+        """Map (n, 2) points; raises when a denominator vanishes against its
+        point's scale, |q_z| <= 1e-12·‖q‖ for the homogeneous image q."""
         p = np.asarray(points, dtype=np.float64)
         single = p.ndim == 1
         p = np.atleast_2d(p)
         ph = np.concatenate([p, np.ones((len(p), 1))], axis=1)
         q = ph @ self.matrix.T
-        if np.any(np.abs(q[:, 2]) < 1e-12):
+        if np.any(np.abs(q[:, 2]) <= 1e-12 * np.linalg.norm(q, axis=1)):
             raise ValueError("point maps to infinity under homography")
         out = q[:, :2] / q[:, 2:3]
         return out[0] if single else out

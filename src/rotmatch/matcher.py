@@ -57,27 +57,19 @@ class FineMatch:
     confidence: float
 
 
-_PE_CACHE = {}
-
-
 def positional_encoding(d, hc, wc):
     """Fixed 2-D sinusoidal encoding [d, hc, wc], channels in four groups:
-    sin(x), cos(x), sin(y), cos(y) at geometrically spaced frequencies."""
+    sin(x), cos(x), sin(y), cos(y) at geometrically spaced frequencies. Each
+    group varies along one axis only, so it is computed on that axis."""
     if d % 4:
         raise ValueError(f"positional encoding needs d divisible by 4, got {d}")
-    key = (d, hc, wc)
-    if key not in _PE_CACHE:
-        d4 = d // 4
-        freqs = 1.0 / (10000.0 ** (np.arange(d4) / d4))
-        ys, xs = np.mgrid[0:hc, 0:wc].astype(np.float64)
-        pe = np.concatenate([
-            np.sin(freqs[:, None, None] * xs[None]),
-            np.cos(freqs[:, None, None] * xs[None]),
-            np.sin(freqs[:, None, None] * ys[None]),
-            np.cos(freqs[:, None, None] * ys[None]),
-        ], axis=0)
-        _PE_CACHE[key] = pe.astype(np.float32)
-    return _PE_CACHE[key]
+    d4 = d // 4
+    freqs = 1.0 / (10000.0 ** (np.arange(d4) / d4))
+    fx, fy = freqs[:, None] * np.arange(wc), freqs[:, None] * np.arange(hc)
+    pe = np.empty((d, hc, wc), np.float32)
+    pe[:d4], pe[d4:2 * d4] = np.sin(fx)[:, None], np.cos(fx)[:, None]
+    pe[2 * d4:3 * d4], pe[3 * d4:] = np.sin(fy)[:, :, None], np.cos(fy)[:, :, None]
+    return pe
 
 
 def add_positional_encoding(coarse):
@@ -408,11 +400,3 @@ def write_match_file(path, matches):
             f.write(f"{m.point_a[0]:.6f} {m.point_a[1]:.6f} "
                     f"{m.point_b[0]:.6f} {m.point_b[1]:.6f} {m.confidence:.6f}\n")
 
-
-def read_match_file(path):
-    matches = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            xa, ya, xb, yb, c = (float(v) for v in line.split())
-            matches.append(FineMatch(point_a=(xa, ya), point_b=(xb, yb), confidence=c))
-    return matches

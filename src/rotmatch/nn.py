@@ -16,20 +16,9 @@ class Module:
     deterministic.
     """
 
-    _epoch = 0   # bumped by each new module, child assignment and `train` call, anywhere
-
     def __init__(self):
         self._buffers = {}
         self._training = True
-        self._seen = (None, None)   # (epoch, the tree's mode then, None if mixed)
-        Module._epoch += 1
-
-    def __setattr__(self, name, value):
-        # a child swapped in may be in another mode than its tree: `mode` walks again
-        if isinstance(value, Module) or (isinstance(value, (list, tuple))
-                                         and any(isinstance(v, Module) for v in value)):
-            Module._epoch += 1
-        object.__setattr__(self, name, value)
 
     def register_buffer(self, name, array):
         self._buffers[name] = np.asarray(array)
@@ -41,8 +30,6 @@ class Module:
     def train(self, flag=True):
         for m in self.modules():
             m._training = flag
-        Module._epoch += 1
-        self._seen = (Module._epoch, flag)
         return self
 
     def eval(self):
@@ -50,27 +37,17 @@ class Module:
 
     @contextmanager
     def mode(self, training):
-        """Training (True) or eval mode for the whole tree within the block,
-        each module's mode before restored on exit. The tree is walked only
-        when a mode may have changed since the last walk."""
-        if self._seen[0] != Module._epoch:
-            flags = {m._training for m in self.modules()}
-            self._seen = (Module._epoch, flags.pop() if len(flags) == 1 else None)
-        before = self._seen[1]
-        if before == training:
-            yield self
-            return
-        mixed = [(m, m._training) for m in self.modules()] if before is None else []
-        self.train(training)
+        """Training (True) or eval mode for the whole tree within the block;
+        on exit each module gets back its own mode from before, also when
+        the block raises."""
+        before = [(m, m._training) for m in self.modules()]
+        for m, _ in before:
+            m._training = training
         try:
             yield self
         finally:
-            if mixed:
-                for m, flag in mixed:
-                    m._training = flag
-                Module._epoch += 1
-            else:
-                self.train(before)
+            for m, flag in before:
+                m._training = flag
 
     def _walk(self, prefix=""):
         """Depth-first walk of the module tree in attribute order.

@@ -572,6 +572,9 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
                 if gparts is not None:
                     np.matmul(kt[u, v].T, gr, out=t)
                     gparts[a, c, :, :, off + r0:off + r1] += t
+        # free the run temporaries first, as in the forward pass: the input
+        # gradient's two full-size arrays may then reuse their memory
+        del gp, gf, gtmp, gr, t, src
         gx = None
         if gparts is not None:
             gxp = np.zeros((b, ci, hs, s, ws, s), dtype=x.dtype)
@@ -696,7 +699,7 @@ def bilinear_warp(image, hmap, out_h, out_w, fill=0.0):
     m = np.asarray(hmap, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"bilinear_warp: map must be 3x3, got shape {m.shape}")
-    if abs(np.linalg.det(m)) < 1e-12:
+    if abs(np.linalg.det(m)) <= 1e-15 * np.linalg.norm(m) ** 3:   # as in `Homography`
         raise ValueError("bilinear_warp: singular map")
     v = bilinear_sample(img, *map_pixel_centers(m, out_h, out_w), fill=fill)
     return Tensor(v.astype(img.dtype if img.dtype in (np.float32, np.float64) else DEFAULT_DTYPE))
@@ -718,8 +721,9 @@ def backward(loss, tape):
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    # the tape's nodes hold every tensor keyed here until this returns, so
+    # no id is reused meanwhile
     grad_map = {id(loss): np.ones_like(loss.data)}
-    keep = {id(loss): loss}
     result = {}
 
     def _leaf_accum(t, g):
@@ -729,7 +733,6 @@ def backward(loss, tape):
 
     for out, parents, bwd in reversed(tape._nodes):
         g = grad_map.pop(id(out), None)
-        keep.pop(id(out), None)
         if g is None:
             continue
         parent_grads = bwd(g)
@@ -744,7 +747,6 @@ def backward(loss, tape):
                     grad_map[pid] = grad_map[pid] + pg
                 else:
                     grad_map[pid] = pg
-                    keep[pid] = p
 
     tape.untracked = []
     for t in tape._watched:

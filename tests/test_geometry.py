@@ -38,6 +38,18 @@ class TestHomographyType:
         with pytest.raises(ValueError, match="singular"):
             Homography(np.array([[1.0, 2, 3], [2, 4, 6], [0, 0, 1]]) * scale)
 
+    def test_tiny_identity_applies(self):
+        # q_z = 1e-13 is a finite point at the matrix's scale
+        assert np.allclose(Homography(np.eye(3) * 1e-13).apply([3, 4]), [3.0, 4.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    def test_point_at_infinity_rejected_at_any_scale(self, scale):
+        # the last row sends (1, 0) to q_z = 0
+        h = Homography(np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 1]]) * scale)
+        with pytest.raises(ValueError, match="infinity"):
+            h.apply([1.0, 0.0])
+        assert np.allclose(h.apply([[0.5, 0.0], [2.0, 1.0]]), [[1.0, 0.0], [-2.0, -1.0]])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         m = np.eye(3)

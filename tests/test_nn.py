@@ -84,30 +84,34 @@ class TestModuleWalker:
         tree.train()
         assert all(m.training for m in tree.modules())
 
-    def test_mode_switches_and_restores(self, monkeypatch):
-        tree = Tree()
-        calls, train = [], Module.train
+    def test_mode_switches_and_restores(self):
+        # from a tree in training, eval and mixed mode: every flag and every
+        # state byte are as before the block, also when the block raises
+        for start in ("train", "eval", "mixed"):
+            tree = Tree()
+            if start != "train":
+                tree.eval()
+            if start == "mixed":
+                tree.layers[2].train()
+            flags = [m.training for m in tree.modules()]
+            state = {k: v.tobytes() for k, v in tree.state_dict().items()}
 
-        def counted(self, flag=True):
-            calls.append(flag)
-            return train(self, flag)
+            def unchanged():
+                return ([m.training for m in tree.modules()] == flags
+                        and {k: v.tobytes() for k, v in tree.state_dict().items()} == state)
 
-        monkeypatch.setattr(Module, "train", counted)
-        with tree.mode(False) as same:
-            assert same is tree and not any(m.training for m in tree.modules())
-            with tree.mode(False):               # already there: no walk
-                pass
-        assert calls == [False, True] and all(m.training for m in tree.modules())
-        calls.clear()
-        with pytest.raises(RuntimeError, match="inside"):
-            with tree.mode(False):
-                raise RuntimeError("inside")
-        assert calls == [False, True] and all(m.training for m in tree.modules())
-        tree.eval()
-        calls.clear()
-        with tree.mode(True):
-            assert all(m.training for m in tree.modules())
-        assert calls == [True, False] and not any(m.training for m in tree.modules())
+            for training in (False, True):
+                with tree.mode(training) as same:
+                    assert same is tree
+                    assert all(m.training == training for m in tree.modules())
+                    with tree.mode(training):
+                        pass
+                    assert all(m.training == training for m in tree.modules())
+                assert unchanged(), start
+                with pytest.raises(RuntimeError, match="inside"):
+                    with tree.mode(training):
+                        raise RuntimeError("inside")
+                assert unchanged(), start
 
     def test_mode_covers_a_mixed_tree(self):
         tree = Tree()
@@ -119,28 +123,6 @@ class TestModuleWalker:
         with tree.mode(True):
             assert all(m.training for m in tree.modules())
         assert [m.training for m in tree.modules()] == [False, False, False, True, False]
-
-    def test_mode_walks_only_after_a_change(self, monkeypatch):
-        tree = Tree()
-        walks, walk = [], Module._walk
-
-        def counted(self, prefix=""):
-            if not prefix:
-                walks.append(self)
-            return walk(self, prefix)
-
-        monkeypatch.setattr(Module, "_walk", counted)
-        tree.eval()
-        walks.clear()
-        for _ in range(3):
-            with tree.mode(False):
-                pass
-        assert walks == []
-        tree.first.train()
-        walks.clear()
-        with tree.mode(False):
-            assert not tree.first.training
-        assert walks and walks[0] is tree and tree.first.training
 
     def test_match_pair_leaves_a_training_child_unchanged(self):
         # at 240x320 each image's backbone runs on its own lane; a backbone

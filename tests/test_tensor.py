@@ -433,6 +433,18 @@ class TestBilinearWarp:
         with pytest.raises(ValueError, match="singular"):
             T.bilinear_warp(np.zeros((1, 4, 4)), np.zeros((3, 3)), 4, 4)
 
+    def test_small_identity_accepted(self):
+        # det 1e-15, yet the identity map: the verdict is taken at the map's scale
+        img = np.random.default_rng(6).random((3, 5, 7)).astype(np.float32)
+        assert np.array_equal(T.bilinear_warp(img, np.eye(3) * 1e-5, 5, 7).data,
+                              T.bilinear_warp(img, np.eye(3), 5, 7).data)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_rank_2_map_rejected_at_any_scale(self, scale):
+        m = np.array([[1.0, 2, 3], [2, 4, 6], [0, 0, 1]]) * scale
+        with pytest.raises(ValueError, match="singular"):
+            T.bilinear_warp(np.zeros((1, 4, 4)), m, 4, 4)
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,), (1, 3, 3)])
     def test_map_not_3x3_rejected(self, shape):
         with pytest.raises(ValueError, match="3x3"):

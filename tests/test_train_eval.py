@@ -13,7 +13,6 @@ from rotmatch.evaluate import (equivariance_check, evaluate, evaluate_pairs,
 from rotmatch.geometry import Homography
 from rotmatch.matcher import FineMatch
 from rotmatch.model import MatcherModel
-from rotmatch.nn import Module
 from rotmatch.tensor import GradientTape, backward
 from rotmatch.train import batch_loss, sample_batch, train
 
@@ -194,34 +193,37 @@ class TestEvaluate:
         assert all(m.training for m in model.modules())
 
     def test_eval_mode_set_once_and_restored(self, tmp_path, monkeypatch):
-        # five pairs, yet one switch to eval mode and one back, also when a
-        # pair raises; a model already in eval mode is not switched at all
+        # from a model in training, eval and mixed mode: every pair runs in
+        # eval mode, and every module's mode and every parameter and buffer
+        # byte are as before `evaluate_pairs`, also when a pair raises
         seqs = synth_dataset(str(tmp_path / "d"), 1, 32, 32, seed=13).sequences()
         cfg = tiny_config()
-        model = MatcherModel(cfg, rng=np.random.default_rng(0))
-        calls, train = [], Module.train
+        for start in ("train", "eval", "mixed"):
+            model = MatcherModel(cfg, rng=np.random.default_rng(0))
+            if start != "train":
+                model.eval()
+            if start == "mixed":
+                model.backbone.train()
+            flags = [m.training for m in model.modules()]
+            state = {k: v.tobytes() for k, v in model.state_dict().items()}
 
-        def counted(self, flag=True):
-            calls.append(flag)
-            return train(self, flag)
+            def unchanged():
+                return ([m.training for m in model.modules()] == flags
+                        and {k: v.tobytes() for k, v in model.state_dict().items()} == state)
 
-        monkeypatch.setattr(Module, "train", counted)
-        evaluate_pairs(model, seqs, cfg)
-        assert calls == [False, True] and all(m.training for m in model.modules())
-        model.eval()
-        calls.clear()
-        evaluate_pairs(model, seqs, cfg)
-        assert calls == [] and not any(m.training for m in model.modules())
-        model.train()
-        calls.clear()
-
-        def fail(*args):
-            raise RuntimeError("match failed")
-
-        monkeypatch.setattr(model.fine, "refine", fail)
-        with pytest.raises(RuntimeError, match="match failed"):
             evaluate_pairs(model, seqs, cfg)
-        assert calls == [False, True] and all(m.training for m in model.modules())
+            assert unchanged(), start
+            seen = []
+
+            def fail(*args):
+                seen.append([m.training for m in model.modules()])
+                raise RuntimeError("match failed")
+
+            monkeypatch.setattr(model.fine, "refine", fail)
+            with pytest.raises(RuntimeError, match="match failed"):
+                evaluate_pairs(model, seqs, cfg)
+            assert seen == [[False] * len(flags)], start
+            assert unchanged(), start
 
     def test_failures_scored_not_fatal(self, tmp_path):
         # a model emitting no matches must yield inf corner error and MMA 0
