@@ -40,14 +40,6 @@ class Sequence:
             yield k, self.image_a, self.images_b[k], self.homographies[k]
 
 
-@dataclass
-class WarpSpec:
-    kind: str                 # rotate | corner_warp
-    amount: float             # angle in degrees, or scale s
-    seed: int
-    per_image: list = field(default_factory=list)   # signs or corner offsets
-
-
 def splitmix64(seed, index):
     """Pinned per-item seed derivation."""
     z = (seed + index * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
@@ -184,10 +176,9 @@ def make_rotated(seq, a_degrees, seed):
         new_bs.append(new_img)
         new_hs.append(rot.compose(hom))
         new_masks.append(new_mask)
-    spec = WarpSpec(kind="rotate", amount=a_degrees, seed=seed, per_image=signs)
+    spec = {"kind": "rotate", "amount": a_degrees, "seed": seed, "per_image": signs}
     return Sequence(name=seq.name, image_a=seq.image_a, images_b=new_bs,
-                    homographies=new_hs, split=seq.split,
-                    provenance=seq.provenance + [spec.__dict__],
+                    homographies=new_hs, split=seq.split, provenance=seq.provenance + [spec],
                     valid_masks=new_masks)
 
 
@@ -235,10 +226,9 @@ def make_warped(seq, s, seed, max_retries=8):
                                        fill=0.0).data[0] > 0.999)
         new_hs.append(warp.compose(hom))
         offs_rec.append(offsets.tolist())
-    spec = WarpSpec(kind="corner_warp", amount=s, seed=seed, per_image=offs_rec)
+    spec = {"kind": "corner_warp", "amount": s, "seed": seed, "per_image": offs_rec}
     return Sequence(name=seq.name, image_a=seq.image_a, images_b=new_bs,
-                    homographies=new_hs, split=seq.split,
-                    provenance=seq.provenance + [spec.__dict__],
+                    homographies=new_hs, split=seq.split, provenance=seq.provenance + [spec],
                     valid_masks=new_masks)
 
 

@@ -254,7 +254,6 @@ class CoarseMatcher(Module):
         self.proj = Linear(coarse_dim, cfg.d_model, rng=rng, dtype=dtype)
         self.blocks = [AttentionBlock(cfg.d_model, cfg.n_heads, rng, linear_attention, dtype)
                        for _ in range(cfg.n_blocks)]
-        self.kinds = ["self" if i % 2 == 0 else "cross" for i in range(cfg.n_blocks)]
 
     def transform(self, fa, fb):
         """Project and run the attention stack on [b, t, d] sequences.
@@ -264,8 +263,8 @@ class CoarseMatcher(Module):
         fa = self.proj(fa)
         fb = self.proj(fb)
         laned = min(fa.shape[1], fb.shape[1]) * COARSE_STRIDE ** 2 >= T.LANE_PIXELS
-        for blk, kind in zip(self.blocks, self.kinds):
-            src_a, src_b = (fa, fb) if kind == "self" else (fb, fa)
+        for i, blk in enumerate(self.blocks):   # self blocks at even i, cross at odd
+            src_a, src_b = (fa, fb) if i % 2 == 0 else (fb, fa)
             sides = [lambda: blk(fa, src_a), lambda: blk(fb, src_b)]
             fa, fb = T.fork_join(sides) if laned else [side() for side in sides]
         return fa, fb

@@ -10,18 +10,14 @@ from .tensor import Tensor, add, matmul
 class Module:
     """Base class for layers and models.
 
-    Parameters are Tensor attributes with requires_grad=True; persistent
-    non-learnable state (running statistics) goes in `self._buffers`.
-    Attribute insertion order fixes parameter naming, so checkpoints are
-    deterministic.
+    Parameters are public Tensor attributes with requires_grad=True;
+    buffers, the persistent non-learnable state (running statistics), are
+    public ndarray attributes. Attribute insertion order fixes their names'
+    order, so checkpoints are deterministic.
     """
 
     def __init__(self):
-        self._buffers = {}
         self._training = True
-
-    def register_buffer(self, name, array):
-        self._buffers[name] = np.asarray(array)
 
     @property
     def training(self):
@@ -53,18 +49,18 @@ class Module:
         """Depth-first walk of the module tree in attribute order.
 
         Yields (dotted name, owner, value): this module itself (named by
-        `prefix` without its trailing dot), its buffers (ndarrays), then for
-        each public attribute in insertion order a parameter (a Tensor with
+        `prefix` without its trailing dot), then for each public attribute
+        in insertion order a buffer (an ndarray), a parameter (a Tensor with
         requires_grad) or the walk of a child module. Modules in a list or
         tuple are named by their index.
         """
         yield prefix[:-1], self, self
-        for key, arr in self._buffers.items():
-            yield prefix + key, self, arr
         for name, value in vars(self).items():
             if name.startswith("_"):
                 continue
-            if isinstance(value, Tensor):
+            if isinstance(value, np.ndarray):
+                yield prefix + name, self, value
+            elif isinstance(value, Tensor):
                 if value.requires_grad:
                     yield prefix + name, self, value
             elif isinstance(value, Module):
@@ -118,8 +114,8 @@ class Module:
             if isinstance(value, Tensor):
                 value.data = np.asarray(state[name], dtype=value.dtype).copy()
             else:
-                key = name.rpartition(".")[2]
-                owner._buffers[key] = np.asarray(state[name]).astype(value.dtype).copy()
+                setattr(owner, name.rpartition(".")[2],
+                        np.asarray(state[name]).astype(value.dtype).copy())
 
 
 def param_count(module):

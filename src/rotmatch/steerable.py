@@ -111,8 +111,8 @@ class EquivConv(Module):
     trivial field is one channel.
     """
 
-    def __init__(self, in_type, out_type, kernel_size=3, stride=1, padding=None,
-                 bias=True, rng=None, dtype=np.float32):
+    def __init__(self, in_type, out_type, kernel_size=3, stride=1, bias=True,
+                 rng=None, dtype=np.float32):
         super().__init__()
         if in_type.group != out_type.group:
             raise ValueError("input and output field types must share a group")
@@ -120,7 +120,7 @@ class EquivConv(Module):
         self.out_type = out_type
         self.k = kernel_size
         self.stride = stride
-        self.padding = kernel_size // 2 if padding is None else padding
+        self.padding = kernel_size // 2
         if stride not in (1, 2):
             raise ValueError("EquivConv supports stride 1 or 2")
         rng = rng or np.random.default_rng(0)
@@ -212,8 +212,8 @@ class InnerBatchNorm(Module):
                            dtype=dtype)
         self.scale = Tensor(np.ones(ft.fields), requires_grad=True, dtype=dtype)
         self.shift = Tensor(np.zeros(ft.fields), requires_grad=True, dtype=dtype)
-        self.register_buffer("running_mean", np.zeros(ft.fields, dtype=dtype))
-        self.register_buffer("running_var", np.ones(ft.fields, dtype=dtype))
+        self.running_mean = np.zeros(ft.fields, dtype=dtype)
+        self.running_var = np.ones(ft.fields, dtype=dtype)
 
     def _per_channel(self, field_values):
         return T.reshape(T.index(field_values, self.ft.field_of_channel()),
@@ -223,9 +223,9 @@ class InnerBatchNorm(Module):
         """Per-channel (a, c), each [channels], with eval-mode norm(x) = a·x + c:
         a = scale / sqrt(running_var + eps), c = shift - running_mean·a, per
         field. Built from tape ops, so gradients reach scale and shift."""
-        inv = Tensor(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
+        inv = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
         a = self.scale * inv
-        c = self.shift - Tensor(self._buffers["running_mean"]) * a
+        c = self.shift - Tensor(self.running_mean) * a
         idx = self.ft.field_of_channel()
         return T.index(a, idx), T.index(c, idx)
 
@@ -239,12 +239,10 @@ class InnerBatchNorm(Module):
             ch_sq = T.reshape(T.mean(x * x, axis=(0, 2, 3)), (c, 1))
             mu = T.reshape(self._avg @ ch_mean, (self.ft.fields,))
             var = T.reshape(self._avg @ ch_sq, (self.ft.fields,)) - mu * mu
-            self._buffers["running_mean"] = (
-                (1 - self.momentum) * self._buffers["running_mean"]
-                + self.momentum * mu.data).astype(self._buffers["running_mean"].dtype)
-            self._buffers["running_var"] = (
-                (1 - self.momentum) * self._buffers["running_var"]
-                + self.momentum * var.data).astype(self._buffers["running_var"].dtype)
+            self.running_mean = ((1 - self.momentum) * self.running_mean
+                                 + self.momentum * mu.data).astype(self.running_mean.dtype)
+            self.running_var = ((1 - self.momentum) * self.running_var
+                                + self.momentum * var.data).astype(self.running_var.dtype)
             inv = (var + self.eps) ** -0.5
             xhat = (x - self._per_channel(mu)) * self._per_channel(inv)
         else:

@@ -2,7 +2,7 @@
 
 Tensors wrap contiguous numpy arrays (float32 by default, float64 selectable
 for gradient checks). Differentiable operations record themselves on the
-active GradientTape; `backward` replays the record in reverse to accumulate
+active GradientTape; `backward` replays the record in reverse to compute
 parameter gradients.
 """
 
@@ -44,13 +44,12 @@ class GradientTape:
     Used as a context manager. Operations executed inside the context whose
     inputs require gradients append a node to the tape. The active tape is
     per thread (a context variable): ops run in other threads record
-    nothing on it. `backward` replays the record in reverse; gradients
-    accumulate in `grads` across repeated replays.
+    nothing on it. `backward` replays the record in reverse; each replay
+    returns fresh gradients.
     """
 
     def __init__(self):
         self._nodes = []  # (out, parents, backward_fn) in execution order
-        self.grads = {}  # leaf Tensor -> accumulated ndarray
         self._watched = []
         self.untracked = []  # watched params that received no gradient
         self._token = None
@@ -76,7 +75,7 @@ class GradientTape:
 class Tensor:
     """Dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "_leaf")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -87,7 +86,6 @@ class Tensor:
         # note: ascontiguousarray would silently promote 0-d arrays to 1-d
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self._leaf = True
 
     @property
     def shape(self):
@@ -162,7 +160,6 @@ def _record(out, parents, backward_fn):
     tape = _ACTIVE_TAPE.get()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._leaf = False
         tape._nodes.append((out, parents, backward_fn))
     return out
 
@@ -710,51 +707,34 @@ def bilinear_warp(image, hmap, out_h, out_w, fill=0.0):
 
 
 def backward(loss, tape):
-    """Accumulate gradients of a scalar loss into the tape's parameter map.
+    """Gradients of a scalar loss with respect to the leaves of the tape.
 
-    Replays the tape's operation record in reverse. Gradients of reached leaf
-    parameters accumulate in `tape.grads`; watched parameters
-    that the loss does not reach get zero gradients and are listed in
-    `tape.untracked`.
+    Replays the tape's operation record in reverse, summing each tensor's
+    gradient contributions in replay order. Leaves are the tensors that
+    require grad and that no node on this tape produced (the loss too, if
+    none did); parameters and tensors computed under another tape alike.
+    Watched parameters that the loss does not reach get zero gradients and
+    are listed in `tape.untracked`.
 
-    Returns a dict mapping parameter Tensor -> gradient ndarray.
+    Returns a dict mapping leaf Tensor -> a new gradient ndarray, in the
+    order the leaves were first reached, then the untracked parameters.
+    Each replay of one tape returns the same values in new arrays.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    # the tape's nodes hold every tensor keyed here until this returns, so
-    # no id is reused meanwhile
-    grad_map = {id(loss): np.ones_like(loss.data)}
-    result = {}
-
-    def _leaf_accum(t, g):
-        prev = tape.grads.get(t)
-        tape.grads[t] = g.copy() if prev is None else prev + g
-        result[t] = tape.grads[t]
-
+    grads = {loss: np.ones_like(loss.data)}
     for out, parents, bwd in reversed(tape._nodes):
-        g = grad_map.pop(id(out), None)
+        g = grads.pop(out, None)   # a node's output is never a leaf
         if g is None:
             continue
-        parent_grads = bwd(g)
-        for p, pg in zip(parents, parent_grads):
-            if pg is None or not p.requires_grad:
-                continue
-            if p._leaf:
-                _leaf_accum(p, pg)
-            else:
-                pid = id(p)
-                if pid in grad_map:
-                    grad_map[pid] = grad_map[pid] + pg
-                else:
-                    grad_map[pid] = pg
-
-    tape.untracked = []
-    for t in tape._watched:
-        if t not in result:
-            z = np.zeros_like(t.data)
-            tape.grads.setdefault(t, z)
-            result[t] = tape.grads[t]
-            tape.untracked.append(t)
+        for p, pg in zip(parents, bwd(g)):
+            if pg is not None and p.requires_grad:
+                grads[p] = grads[p] + pg if p in grads else pg
+    # only leaves are left; a contribution may be shared with another entry
+    result = {t: g.copy() for t, g in grads.items() if t.requires_grad}
+    tape.untracked = [t for t in tape._watched if t not in result]
+    for t in tape.untracked:
+        result[t] = np.zeros_like(t.data)
     return result
 
 

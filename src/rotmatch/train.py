@@ -182,35 +182,36 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
             with GradientTape() as tape:
                 tape.watch(*params)
                 total, coarse_l, fine_l, stats = batch_loss(model, batch)
-                if total is None:
-                    result.skipped_batches += 1
-                    continue
-                if not np.isfinite(total.data).all():
-                    raise FloatingPointError(
-                        f"non-finite loss at step {step}: "
-                        f"coarse={coarse_l.data if coarse_l is not None else None}")
-                t_backward = time.perf_counter()
-                grads = backward(total, tape)
-                backward_s = time.perf_counter() - t_backward
-            opt.step(grads)
-            step_s = time.perf_counter() - t_step
-            result.steps_run = step
-            loss_val = float(total.data)
-            result.losses.append(loss_val)
-            entry = {"step": step, "loss": loss_val,
-                     "coarse": float(coarse_l.data),
-                     "fine": (float(fine_l.data) if fine_l is not None else None),
-                     "assigned": stats["assigned"],
-                     "coarse_correct": stats["coarse_correct"]}
-            if step % log_every == 0 or step == 1:
-                sq = sum(np.sum(np.square(g, dtype=np.float64)) for g in grads.values())
-                entry.update(step_s=step_s, backward_s=backward_s,
-                             grad_norm=float(np.sqrt(sq)),
-                             untracked=[param_names[id(p)] for p in tape.untracked])
-                log_f.write(json.dumps(entry) + "\n")
-                log_f.flush()
-                if progress:
-                    progress(entry)
+                if total is not None:
+                    if not np.isfinite(total.data).all():
+                        raise FloatingPointError(
+                            f"non-finite loss at step {step}: "
+                            f"coarse={coarse_l.data if coarse_l is not None else None}")
+                    t_backward = time.perf_counter()
+                    grads = backward(total, tape)
+                    backward_s = time.perf_counter() - t_backward
+            if total is None:   # no ground-truth cell: no update, but validate as planned
+                result.skipped_batches += 1
+            else:
+                opt.step(grads)
+                step_s = time.perf_counter() - t_step
+                result.steps_run = step
+                loss_val = float(total.data)
+                result.losses.append(loss_val)
+                entry = {"step": step, "loss": loss_val,
+                         "coarse": float(coarse_l.data),
+                         "fine": (float(fine_l.data) if fine_l is not None else None),
+                         "assigned": stats["assigned"],
+                         "coarse_correct": stats["coarse_correct"]}
+                if step % log_every == 0 or step == 1:
+                    sq = sum(np.sum(np.square(g, dtype=np.float64)) for g in grads.values())
+                    entry.update(step_s=step_s, backward_s=backward_s,
+                                 grad_norm=float(np.sqrt(sq)),
+                                 untracked=[param_names[id(p)] for p in tape.untracked])
+                    log_f.write(json.dumps(entry) + "\n")
+                    log_f.flush()
+                    if progress:
+                        progress(entry)
 
             if step % tcfg.val_interval == 0 or step == tcfg.steps:
                 report = evaluate_pairs(model, val_seqs, config)

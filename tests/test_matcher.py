@@ -510,6 +510,25 @@ class TestFineMatcher:
             assert abs(m.point_b[0] - wx) <= bound
             assert abs(m.point_b[1] - wy) <= bound
 
+    def test_refine_peak_memory_at_480x640(self):
+        # one 480x640 pair: [16, 240, 320] fine maps under a 60x80 coarse grid;
+        # 1000 cells each matched to itself peaked at 33.4-33.6 MB, 4800 at 160.6 MB
+        cfg = Config.default()
+        fm = FineMatcher(cfg.backbone.fine_dim, cfg.matcher, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(14)
+        fa, fb = (Tensor(rng.normal(size=(16, 240, 320)).astype(np.float32)) for _ in "ab")
+        idx = np.sort(rng.choice(60 * 80, 1000, replace=False))
+        mset = CoarseMatchSet(idx_a=idx, idx_b=idx, confidence=np.ones(1000),
+                              grid_a=(60, 80), grid_b=(60, 80))
+        tracemalloc.start()
+        try:
+            matches, dropped = fm.refine(fa, fb, mset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matches) + dropped == 1000 and 0 < dropped < 60
+        assert peak < 40e6
+
 
 @pytest.fixture(scope="module")
 def pair_model():

@@ -13,15 +13,15 @@ class Leaf(Module):
     def __init__(self, tag):
         super().__init__()
         self.w = Tensor(np.full(2, tag), requires_grad=True)
-        self.register_buffer("stat", np.full(3, tag, dtype=np.float32))
+        self.stat = np.full(3, tag, dtype=np.float32)
 
 
 class Tree(Module):
-    """Tensors, modules and lists interleaved in attribute order."""
+    """Buffers, tensors, modules and lists interleaved in attribute order."""
 
     def __init__(self):
         super().__init__()
-        self.register_buffer("count", np.zeros(1, dtype=np.float32))
+        self.count = np.zeros(1, dtype=np.float32)
         self.first = Leaf(1.0)
         self.gain = Tensor(np.ones(2), requires_grad=True)
         self.layers = [Leaf(2.0), "not a module", Leaf(3.0)]
@@ -43,10 +43,10 @@ class TestModuleWalker:
         state["layers.2.stat"] = np.full(3, 7.0)
         state["count"] = np.array([5.0])
         tree.load_state_dict(state)
-        assert np.array_equal(tree.layers[2]._buffers["stat"], np.full(3, 7.0))
-        assert tree.layers[2]._buffers["stat"].dtype == np.float32
-        assert np.array_equal(tree.layers[0]._buffers["stat"], np.full(3, 2.0))
-        assert tree._buffers["count"][0] == 5.0
+        assert np.array_equal(tree.layers[2].stat, np.full(3, 7.0))
+        assert tree.layers[2].stat.dtype == np.float32
+        assert np.array_equal(tree.layers[0].stat, np.full(3, 2.0))
+        assert tree.count[0] == 5.0
 
     def test_missing_entries_reported(self):
         tree = Tree()

@@ -74,7 +74,7 @@ class TestGroupConv:
         rng = np.random.default_rng(4)
         n, f_in, f_out = 4, 2, 3
         layer = EquivConv(FieldType.regular(C4, f_in), FieldType.regular(C4, f_out),
-                          kernel_size=1, padding=0, bias=False, rng=rng)
+                          kernel_size=1, bias=False, rng=rng)
         x = rng.normal(size=(1, f_in * n, 5, 5)).astype(np.float32)
         got = layer(Tensor(x)).data
         base = layer.base.data[..., 0, 0]  # [f_out, f_in, n]
@@ -374,8 +374,8 @@ def _eval_norm(ft, rng, dtype=np.float32):
     bn = InnerBatchNorm(ft, dtype=dtype)
     bn.scale.data[:] = rng.normal(1.0, 0.5, size=ft.fields)
     bn.shift.data[:] = rng.normal(size=ft.fields)
-    bn._buffers["running_mean"][:] = rng.normal(size=ft.fields)
-    bn._buffers["running_var"][:] = rng.uniform(0.2, 3.0, size=ft.fields)
+    bn.running_mean[:] = rng.normal(size=ft.fields)
+    bn.running_var[:] = rng.uniform(0.2, 3.0, size=ft.fields)
     return bn.eval()
 
 

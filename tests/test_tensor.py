@@ -475,14 +475,40 @@ class TestBackward:
             grads = backward(loss, tape)
         assert np.allclose(grads[x], [2.0, 4.0])
 
-    def test_replay_accumulates_twice(self):
+    def test_replay_returns_equal_separate_arrays(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with GradientTape() as tape:
             tape.watch(x)
             loss = T.sum_(x * x)
-        g1 = backward(loss, tape)[x].copy()
+        g1 = backward(loss, tape)[x]
         g2 = backward(loss, tape)[x]
-        assert np.allclose(g2, 2 * g1)
+        assert np.array_equal(g1, [2.0, 4.0]) and np.array_equal(g2, g1)
+        g1 += 10.0
+        assert np.array_equal(g2, [2.0, 4.0])
+
+    def test_leaves_sharing_one_contribution_get_separate_arrays(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        with GradientTape() as tape:
+            tape.watch(a, b)
+            grads = backward(T.sum_(a + b), tape)   # add passes one array to both
+        assert list(grads) == [a, b]
+        grads[a] += 1.0
+        assert np.array_equal(grads[b], [1.0, 1.0])
+
+    def test_tensor_from_another_tape_is_a_leaf(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradientTape() as first:
+            first.watch(x)
+            y = x * x
+        w = Tensor([3.0, 5.0], requires_grad=True)
+        with GradientTape() as second:
+            second.watch(w)
+            grads = backward(T.sum_(y * w), second)
+        assert list(grads) == [y, w]
+        assert np.array_equal(grads[y], [3.0, 5.0])
+        assert np.array_equal(grads[w], [1.0, 4.0])
+        assert x not in grads and second.untracked == []
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -61,6 +61,32 @@ class TestTraining:
         r2, _ = train(cfg, data, str(tmp_path / "r2"))
         assert r1.losses == r2.losses
 
+    def test_skipped_batches_still_validate(self, tmp_path):
+        # B views 1000 px off A share no ground-truth cell with it, so every
+        # batch is skipped; the step that lands on val_interval still validates
+        from rotmatch.datasets import DatasetManifest, save_sequence
+        data = str(tmp_path / "far")
+        os.makedirs(data)
+        h = w = 32
+        shift = Homography(np.array([[1.0, 0, 1000.0], [0, 1, 0], [0, 0, 1]]))
+        scenes = []
+        for i in range(2):
+            tex = _Texture(np.random.default_rng(i), h, w, SynthParams())
+            seq = Sequence(name=f"scene_{i:04d}", image_a=tex.render(None, h, w),
+                           images_b=[tex.render(shift, h, w)] * 5, homographies=[shift] * 5)
+            save_sequence(data, seq)
+            scenes.append({"name": seq.name, "split": "synthetic", "seed": i, "jitter": False})
+        DatasetManifest(data, 0, h, w, scenes).save()
+        cfg = tiny_config(steps=2)
+        cfg.train.val_interval = 2
+        cfg.backbone.base_width = 8
+        cfg.backbone.coarse_dim = 16
+        cfg.backbone.fine_dim = 8
+        cfg.matcher.d_model = 16
+        result, _ = train(cfg, data, str(tmp_path / "run"))
+        assert result.skipped_batches == 2 and result.losses == []
+        assert [step for step, _ in result.val_history] == [2]
+
     def test_log_carries_step_observability(self, tmp_path, monkeypatch):
         import json
         import rotmatch.train as rtrain
@@ -307,7 +333,7 @@ class TestEquivarianceCheck:
 
     def test_given_model_measured_as_loaded(self):
         model = MatcherModel(tiny_config(), rng=np.random.default_rng(2))
-        model.backbone.stem_bn._buffers["running_var"][:] = 3.0
+        model.backbone.stem_bn.running_var[:] = 3.0
         before = {k: v.copy() for k, v in model.state_dict().items()}
         equivariance_check("c4star", backbone=model.backbone, trials=2)
         after = model.state_dict()
