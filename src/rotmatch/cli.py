@@ -7,8 +7,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -154,27 +152,18 @@ def _cmd_evaluate(args):
 
 
 def _cmd_match(args):
-    from .datasets import load_homography_file, resize_canonical, Sequence
+    from .datasets import load_homography_file, resize_image
     from .evaluate import match_images
-    from .geometry import Homography
-    from .imageio import read_ppm
+    from .imageio import read_rgb
     from .model import load_model
 
     model = load_model(args.checkpoint)
-    img_a = read_ppm(args.image_a)
-    img_b = read_ppm(args.image_b)
-    if img_a.shape[0] == 1:
-        img_a = np.repeat(img_a, 3, axis=0)
-    if img_b.shape[0] == 1:
-        img_b = np.repeat(img_b, 3, axis=0)
+    img_a, img_b = read_rgb(args.image_a), read_rgb(args.image_b)
     h_gt = load_homography_file(args.gt_h) if args.gt_h else None
     if args.size is not None:
-        long_side, short_side = args.size
-        seq = Sequence(name="pair", image_a=img_a, images_b=[img_b] * 5,
-                       homographies=[h_gt or Homography(np.eye(3))] * 5)
-        seq = resize_canonical(seq, long_side=long_side, short_side=short_side)
-        img_a, img_b = seq.image_a, seq.images_b[0]
-        h_gt = seq.homographies[0] if args.gt_h else None
+        (img_a, s_a), (img_b, s_b) = (resize_image(img, *args.size) for img in (img_a, img_b))
+        if h_gt is not None:
+            h_gt = s_b.compose(h_gt).compose(s_a.inverse())
     for img, name in ((img_a, "A"), (img_b, "B")):
         if img.shape[1] % 8 or img.shape[2] % 8:
             raise SystemExit(f"image {name} dims {img.shape[1:]} not divisible by 8; "

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import COARSE_STRIDE
 from .geometry import Homography, dlt
 from .groups import rotation_about_center
-from .imageio import read_ppm, write_ppm
+from .imageio import read_rgb, write_ppm
 from .tensor import bilinear_sample, bilinear_warp, map_pixel_centers
 
 
@@ -74,10 +74,7 @@ def load_sequence(seq_dir, split="synthetic"):
         for ext in (".ppm", ".pgm"):
             path = os.path.join(seq_dir, f"{i}{ext}")
             if os.path.exists(path):
-                img = read_ppm(path)
-                if img.shape[0] == 1:
-                    img = np.repeat(img, 3, axis=0)
-                images.append(img)
+                images.append(read_rgb(path))
                 break
         else:
             raise FileNotFoundError(f"missing image {i}.ppm (or .pgm) in {seq_dir}")
@@ -112,32 +109,28 @@ def _scaling(w_from, h_from, w_to, h_to):
     return Homography(np.diag([w_to / w_from, h_to / h_from, 1.0]))
 
 
-def resize_image(img, h_to, w_to):
+def resize_image(img, long_side, short_side):
+    """Bilinear-resize a [c, h, w] image, landscape to long x short and
+    portrait to short x long; returns it and the scaling S that sends its
+    pixel coordinates to the new image's."""
     h, w = img.shape[1:]
+    h_to, w_to = (short_side, long_side) if w >= h else (long_side, short_side)
     s = _scaling(w, h, w_to, h_to)
-    return bilinear_warp(img, s.inverse().matrix, h_to, w_to).data
+    return bilinear_warp(img, s.inverse().matrix, h_to, w_to).data, s
 
 
 def resize_canonical(seq, long_side=640, short_side=480):
-    """Bilinear-resize every image (landscape -> long x short, portrait ->
-    short x long) and conjugate the homographies: H' = S_B @ H @ S_A^-1."""
-
-    def target(img):
-        h, w = img.shape[1:]
-        return (short_side, long_side) if w >= h else (long_side, short_side)
-
-    ha, wa = target(seq.image_a)
-    sa = _scaling(seq.image_a.shape[2], seq.image_a.shape[1], wa, ha)
-    new_a = resize_image(seq.image_a, ha, wa)
+    """`resize_image` every image and conjugate the homographies:
+    H' = S_B @ H @ S_A^-1."""
+    new_a, sa = resize_image(seq.image_a, long_side, short_side)
     new_bs, new_hs, new_masks = [], [], []
     for img, hom, mask in zip(seq.images_b, seq.homographies, seq.valid_masks):
-        hb, wb = target(img)
-        sb = _scaling(img.shape[2], img.shape[1], wb, hb)
-        new_bs.append(resize_image(img, hb, wb))
+        new_b, sb = resize_image(img, long_side, short_side)
+        new_bs.append(new_b)
         new_hs.append(sb.compose(hom).compose(sa.inverse()))
         if mask is not None:
             mask = bilinear_warp(mask[None].astype(np.float32),
-                                 sb.inverse().matrix, hb, wb).data[0] > 0.5
+                                 sb.inverse().matrix, *new_b.shape[1:]).data[0] > 0.5
         new_masks.append(mask)
     return Sequence(name=seq.name, image_a=new_a, images_b=new_bs,
                     homographies=new_hs, split=seq.split,

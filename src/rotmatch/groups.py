@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, bilinear_sample, map_pixel_centers
+from .tensor import Tensor, bilinear_sample, bilinear_warp, map_pixel_centers
 
 SUPPORTED_ORDERS = (1, 4, 8)
 
@@ -147,9 +147,7 @@ def rotate_image(img, elem, mode="auto", fill=0.0):
                       dtype=data.dtype)
     if mode != "bilinear":
         raise ValueError(f"unknown rotation mode {mode!r}")
-    inv = np.linalg.inv(rotation_about_center(angle, h, w))
-    out = bilinear_sample(data, *map_pixel_centers(inv, h, w), fill=fill)
-    return Tensor(out, dtype=data.dtype)
+    return bilinear_warp(data, np.linalg.inv(rotation_about_center(angle, h, w)), h, w, fill)
 
 
 def act_on_field(elem, field, ft, mode="auto", fill=0.0):

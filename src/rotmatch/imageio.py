@@ -47,6 +47,12 @@ def read_ppm(path):
     return (img.transpose(2, 0, 1).astype(np.float32) / 255.0)
 
 
+def read_rgb(path):
+    """`read_ppm`, with a gray image repeated into three channels."""
+    img = read_ppm(path)
+    return np.repeat(img, 3, axis=0) if img.shape[0] == 1 else img
+
+
 def _int_token(f, path, field):
     tok = _token(f, path, field)
     try:

@@ -15,23 +15,28 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 
-def _blas_threads():
-    """Threads numpy's bundled OpenBLAS runs one call in (1 without one)."""
+def _one_blas_thread():
+    """Set numpy's bundled OpenBLAS to run each call in one thread, whatever
+    OPENBLAS_NUM_THREADS says, so that `fork_join` lanes are the only
+    parallelism and results do not depend on the environment. This holds for
+    the whole process, a host program that imports rotmatch included. Without
+    a bundled OpenBLAS that exports a setter nothing is set; LANES is the CPU
+    count either way."""
     import ctypes
     import glob
 
     for path in glob.glob(os.path.join(np.__path__[0], os.pardir, "numpy.libs", "*openblas*")):
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
             fn = getattr(ctypes.CDLL(path), sym, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return max(1, fn())
-    return 1
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                return
 
 
-# lanes that `fork_join` may run, BLAS threads each
-LANES = max(1, len(os.sched_getaffinity(0)) // _blas_threads())
+_one_blas_thread()
+LANES = len(os.sched_getaffinity(0))   # lanes that `fork_join` may run: every usable CPU
 _POOL, _POOL_LOCK = None, threading.Lock()   # LANES - 1 worker threads, made on first use
 
 # the tape that records ops run in this thread or context, if any
@@ -168,6 +173,7 @@ def fork_join(calls):
     """The results of the independent zero-argument `calls`, in order, run in
     min(LANES, len(calls)) lanes: this thread and pool threads, all drawing
     from one iterator over the calls (`next` on it is atomic under the GIL).
+    With BLAS set to one thread at import, lanes are the only parallelism.
     All run here while a tape records on this thread (lanes record nothing on
     it). Calls not yet started are cancelled, not waited for, so neither a
     busy pool nor a call inside another `fork_join`'s lane waits; started ones

@@ -190,12 +190,12 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
                     t_backward = time.perf_counter()
                     grads = backward(total, tape)
                     backward_s = time.perf_counter() - t_backward
+            result.steps_run = step
             if total is None:   # no ground-truth cell: no update, but validate as planned
                 result.skipped_batches += 1
             else:
                 opt.step(grads)
                 step_s = time.perf_counter() - t_step
-                result.steps_run = step
                 loss_val = float(total.data)
                 result.losses.append(loss_val)
                 entry = {"step": step, "loss": loss_val,

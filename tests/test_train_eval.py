@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,27 @@ from rotmatch.matcher import FineMatch
 from rotmatch.model import MatcherModel
 from rotmatch.tensor import GradientTape, backward
 from rotmatch.train import batch_loss, sample_batch, train
+
+
+# 16 training steps in the criterion-8 config (c4star, base width 24,
+# d_model 32, 2 blocks, 64x64, batch 2): the losses' count and hash
+_TRAIN_LOSS_HASH = r"""
+import hashlib, sys
+import numpy as np
+from rotmatch.config import Config
+from rotmatch.datasets import synth_dataset
+from rotmatch.train import train
+
+cfg = Config.default()
+cfg.backbone.variant = "c4star"
+cfg.backbone.base_width = 24
+cfg.matcher.d_model = 32
+cfg.matcher.n_blocks = 2
+cfg.train.steps = cfg.train.val_interval = 16
+synth_dataset(sys.argv[1] + "/data", 4, 64, 64, seed=0)
+result, _ = train(cfg, sys.argv[1] + "/data", sys.argv[1] + "/run")
+print(len(result.losses), hashlib.sha256(np.array(result.losses).tobytes()).hexdigest())
+"""
 
 
 def tiny_config(variant="c4star", steps=30):
@@ -63,7 +86,8 @@ class TestTraining:
 
     def test_skipped_batches_still_validate(self, tmp_path):
         # B views 1000 px off A share no ground-truth cell with it, so every
-        # batch is skipped; the step that lands on val_interval still validates
+        # batch is skipped; the step that lands on val_interval still
+        # validates, and every step counts as run
         from rotmatch.datasets import DatasetManifest, save_sequence
         data = str(tmp_path / "far")
         os.makedirs(data)
@@ -77,15 +101,34 @@ class TestTraining:
             save_sequence(data, seq)
             scenes.append({"name": seq.name, "split": "synthetic", "seed": i, "jitter": False})
         DatasetManifest(data, 0, h, w, scenes).save()
-        cfg = tiny_config(steps=2)
-        cfg.train.val_interval = 2
+        cfg = tiny_config(steps=3)
+        cfg.train.val_interval = 3
         cfg.backbone.base_width = 8
         cfg.backbone.coarse_dim = 16
         cfg.backbone.fine_dim = 8
         cfg.matcher.d_model = 16
         result, _ = train(cfg, data, str(tmp_path / "run"))
-        assert result.skipped_batches == 2 and result.losses == []
-        assert [step for step, _ in result.val_history] == [2]
+        assert result.skipped_batches == 3 and result.losses == []
+        assert result.steps_run == 3
+        assert [step for step, _ in result.val_history] == [3]
+
+    def test_losses_independent_of_blas_threads(self, tmp_path):
+        # the package sets OpenBLAS to one thread at import, so the conv
+        # kernel gradients, and with them the losses, do not depend on the
+        # environment's thread count
+        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        out = []
+        for threads in (None, "1", "2"):
+            env = dict(base, PYTHONPATH=src)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", _TRAIN_LOSS_HASH,
+                                   str(tmp_path / f"t{threads}")],
+                                  env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.split())
+        assert out[0][0] == "16" and out[0] == out[1] == out[2], out
 
     def test_log_carries_step_observability(self, tmp_path, monkeypatch):
         import json
