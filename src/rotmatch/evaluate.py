@@ -54,7 +54,7 @@ def evaluate_pairs(model, sequences, config):
             pa = np.array([m.point_a for m in matches])
             pb = np.array([m.point_b for m in matches])
             try:
-                h_est, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
+                h_est, _, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
             except (EstimationFailure, ValueError):
                 h_est = None
                 failed = True

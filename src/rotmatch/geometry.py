@@ -12,7 +12,30 @@ import numpy as np
 
 
 class EstimationFailure(Exception):
-    """RANSAC could not find a homography with enough inliers."""
+    """RANSAC could not find a homography with enough inliers; `iterations`
+    is the number of hypotheses it drew."""
+
+    def __init__(self, message, iterations):
+        super().__init__(message)
+        self.iterations = iterations
+
+
+def _singular(m):
+    """[...] flags for [..., 3, 3] matrices: |det m| against the matrix's own
+    scale, since |det m| is at most ‖m‖³ / 3^1.5."""
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    return np.abs(np.linalg.det(m)) <= 1e-15 * (norm * norm * norm)
+
+
+def _project(matrices, points):
+    """Map [n, 2] points by [..., 3, 3] matrices. Returns the [..., n, 2]
+    images and a [...] flag for any denominator that vanishes against its
+    point's scale, |q_z| <= 1e-12·‖q‖ for the homogeneous image q."""
+    ph = np.concatenate([points, np.ones((len(points), 1))], axis=1)
+    q = ph @ np.swapaxes(matrices, -1, -2)
+    at_infinity = (np.abs(q[..., 2]) <= 1e-12 * np.linalg.norm(q, axis=-1)).any(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q[..., :2] / q[..., 2:3], at_infinity
 
 
 @dataclass(frozen=True)
@@ -27,8 +50,7 @@ class Homography:
             raise ValueError("Homography requires a 3x3 matrix")
         if not np.isfinite(m).all():
             raise ValueError("Homography matrix has non-finite entries")
-        # against the matrix's own scale: |det m| is at most ‖m‖³ / 3^1.5
-        if abs(np.linalg.det(m)) <= 1e-15 * np.linalg.norm(m) ** 3:
+        if _singular(m):
             raise ValueError("Homography matrix is singular")
         object.__setattr__(self, "matrix", m)
 
@@ -36,16 +58,12 @@ class Homography:
         return self.matrix.astype(dtype) if dtype else self.matrix
 
     def apply(self, points):
-        """Map (n, 2) points; raises when a denominator vanishes against its
-        point's scale, |q_z| <= 1e-12·‖q‖ for the homogeneous image q."""
+        """Map (n, 2) points; raises when a point maps to infinity."""
         p = np.asarray(points, dtype=np.float64)
         single = p.ndim == 1
-        p = np.atleast_2d(p)
-        ph = np.concatenate([p, np.ones((len(p), 1))], axis=1)
-        q = ph @ self.matrix.T
-        if np.any(np.abs(q[:, 2]) <= 1e-12 * np.linalg.norm(q, axis=1)):
+        out, at_infinity = _project(self.matrix, np.atleast_2d(p))
+        if at_infinity:
             raise ValueError("point maps to infinity under homography")
-        out = q[:, :2] / q[:, 2:3]
         return out[0] if single else out
 
     def inverse(self):
@@ -71,59 +89,86 @@ def projective_distance(h1, h2):
     return float(np.linalg.norm(a - b))
 
 
+def _point_pairs(points_a, points_b, name, ndims):
+    """Both point arrays as float64, checked to be finite and of one shape
+    [..., n, 2] with `ndims` dimensions."""
+    pa = np.asarray(points_a, dtype=np.float64)
+    pb = np.asarray(points_b, dtype=np.float64)
+    if pa.shape != pb.shape or pa.ndim not in ndims or pa.shape[-1] != 2:
+        shapes = "(n, 2)" if ndims == (2,) else "(n, 2) or (k, n, 2)"
+        raise ValueError(f"{name} expects matching {shapes} point arrays, "
+                         f"got {pa.shape} and {pb.shape}")
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise ValueError(f"{name} expects finite points")
+    return pa, pb
+
+
 def _hartley_normalization(points):
-    """Similarity transform sending the centroid to 0 and RMS radius to sqrt(2)."""
-    c = points.mean(axis=0)
-    rms = np.sqrt(((points - c) ** 2).sum(axis=1).mean())
-    s = np.sqrt(2.0) / max(rms, 1e-12)
-    t = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1]])
+    """Similarity transforms sending each [..., n, 2] set's centroid to 0 and
+    RMS radius to sqrt(2), as [..., 3, 3] matrices."""
+    c = points.mean(axis=-2)
+    rms = np.sqrt(((points - c[..., None, :]) ** 2).sum(axis=-1).mean(axis=-1))
+    s = np.sqrt(2.0) / np.maximum(rms, 1e-12)
+    t = np.zeros(points.shape[:-2] + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = s
+    t[..., :2, 2] = -s[..., None] * c
+    t[..., 2, 2] = 1
     return t
 
 
 def dlt(points_a, points_b):
-    """Hartley-normalized direct linear transform.
+    """Hartley-normalized direct linear transform, for one point set or a
+    stack of them.
 
     Args:
-        points_a, points_b: (n, 2) corresponding points, n >= 4.
+        points_a, points_b: (n, 2) corresponding points, n >= 4, or
+            (k, n, 2) for k sets solved at once.
 
     Returns:
-        Homography mapping points_a to points_b (least-squares for n > 4).
+        For (n, 2): the Homography mapping points_a to points_b
+        (least-squares for n > 4); raises ValueError for a degenerate set.
+        For (k, n, 2): a float64 (k, 3, 3) array whose row j is bitwise
+        `dlt(points_a[j], points_b[j]).matrix`, or NaN where that call
+        would raise.
     """
-    pa = np.asarray(points_a, dtype=np.float64)
-    pb = np.asarray(points_b, dtype=np.float64)
-    if pa.shape != pb.shape or pa.ndim != 2 or pa.shape[1] != 2:
-        raise ValueError("dlt expects matching (n, 2) point arrays")
-    n = len(pa)
+    pa, pb = _point_pairs(points_a, points_b, "dlt", (2, 3))
+    n = pa.shape[-2]
     if n < 4:
         raise ValueError(f"dlt needs at least 4 correspondences, got {n}")
-    ta = _hartley_normalization(pa)
-    tb = _hartley_normalization(pb)
-    qa = (np.concatenate([pa, np.ones((n, 1))], axis=1) @ ta.T)[:, :2]
-    qb = (np.concatenate([pb, np.ones((n, 1))], axis=1) @ tb.T)[:, :2]
-    a = np.zeros((2 * n, 9))
-    x, y = qa[:, 0], qa[:, 1]
-    u, v = qb[:, 0], qb[:, 1]
-    a[0::2, 0] = -x
-    a[0::2, 1] = -y
-    a[0::2, 2] = -1
-    a[0::2, 6] = x * u
-    a[0::2, 7] = y * u
-    a[0::2, 8] = u
-    a[1::2, 3] = -x
-    a[1::2, 4] = -y
-    a[1::2, 5] = -1
-    a[1::2, 6] = x * v
-    a[1::2, 7] = y * v
-    a[1::2, 8] = v
-    _, s, vt = np.linalg.svd(a)
+    # both sides at once: [2, ..., n, 2] points, [2, ..., 3, 3] transforms
+    p = np.stack([pa, pb])
+    t = _hartley_normalization(p)
+    q = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ np.swapaxes(t, -1, -2)
+    qa, qb = q[0, ..., :2], q[1, ..., :2]
+    # rows 2i and 2i + 1 of the [..., 2n, 9] system hold correspondence i
+    a = np.zeros(pa.shape[:-2] + (n, 2, 9))
+    a[..., 0, 0:2] = a[..., 1, 3:5] = -qa
+    a[..., 0, 2] = a[..., 1, 5] = -1
+    a[..., 6:8] = qa[..., None, :] * qb[..., :, None]
+    a[..., 8] = qb
+    a = a.reshape(pa.shape[:-2] + (2 * n, 9))
+    # coordinates near the float64 limit overflow; one non-finite set must
+    # not fail the SVD of the whole stack
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    # a 4-point system is wide and needs the full V for its null vector;
+    # a taller one gets the same s and V without the 2n x 2n U
+    _, s, vt = np.linalg.svd(np.where(finite[..., None, None], a, 0.0), full_matrices=n == 4)
+    h_norm = vt[..., -1, :].reshape(pa.shape[:-2] + (3, 3))
+    h = np.linalg.inv(t[1]) @ h_norm @ t[0]
     # a rank deficiency beyond the expected one signals a degenerate set
-    if n == 4 and s[-2] < 1e-9 * max(s[0], 1e-12):
-        raise ValueError("degenerate correspondence configuration for dlt")
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(tb) @ h_norm @ ta
-    if abs(np.linalg.det(h)) < 1e-12:
-        raise ValueError("degenerate correspondence configuration for dlt")
-    return Homography(h / h[2, 2] if abs(h[2, 2]) > 1e-12 else h)
+    degenerate = (~finite | (n == 4) & (s[..., -2] < 1e-9 * np.maximum(s[..., 0], 1e-12))
+                  | (np.abs(np.linalg.det(h)) < 1e-12))
+    # scaled so h[2, 2] = 1 where that entry is not too small (x / 1.0 is x)
+    h22 = h[..., 2:, 2:]
+    h = h / np.where(np.abs(h22) > 1e-12, h22, 1.0)
+    if pa.ndim == 2:
+        if degenerate:
+            raise ValueError("degenerate correspondence configuration for dlt")
+        return Homography(h)
+    bad = degenerate | ~np.isfinite(h).all(axis=(-2, -1))
+    bad[~bad] = _singular(h[~bad])
+    h[bad] = np.nan
+    return h
 
 
 def reprojection_errors(h, points_a, points_b):
@@ -137,47 +182,58 @@ def ransac_homography(points_a, points_b, thresh_px=3.0, confidence=0.995,
     """Robust homography fit: repeated 4-point minimal DLT with adaptive
     iteration count, final re-fit on the best inlier set.
 
-    Returns (Homography, inlier_mask). Raises EstimationFailure when no
-    model reaches 4 inliers. Deterministic given the seed.
+    The samples are drawn one `rng.choice` at a time and solved in chunks
+    (8, then twice as many each time) by one stacked `dlt` call; the chunk
+    is then walked in draw order, so hypotheses drawn past the stopping
+    point are never read.
+
+    Returns (Homography, inlier_mask, iterations). Raises ValueError for
+    point arrays that are not matching, finite (n, 2) arrays with n >= 4,
+    and EstimationFailure when no model reaches 4 inliers. Deterministic
+    given the seed.
     """
-    pa = np.asarray(points_a, dtype=np.float64)
-    pb = np.asarray(points_b, dtype=np.float64)
+    pa, pb = _point_pairs(points_a, points_b, "ransac", (2,))
     n = len(pa)
     if n < 4:
         raise ValueError(f"ransac needs at least 4 matches, got {n}")
     rng = np.random.default_rng(seed)
     best_count = 0
     best_mask = None
-    needed = max_iter
+    stop = max_iter
+    chunk = 8
     i = 0
-    while i < min(needed, max_iter):
-        i += 1
-        sample = rng.choice(n, size=4, replace=False)
-        try:
-            cand = dlt(pa[sample], pb[sample])
-        except ValueError:
-            continue
-        try:
-            err = reprojection_errors(cand, pa, pb)
-        except ValueError:
-            continue
-        mask = err < thresh_px
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            ratio = count / n
-            if ratio >= 1.0:
+    while i < stop:
+        draws = [rng.choice(n, size=4, replace=False).tobytes()
+                 for _ in range(min(chunk, stop - i))]
+        chunk *= 2
+        # a sample drawn again (often, when n is small) is solved once
+        slots = {d: u for u, d in enumerate(dict.fromkeys(draws))}
+        samples = np.frombuffer(b"".join(slots), dtype=np.int64).reshape(-1, 4)
+        mapped, at_infinity = _project(dlt(pa[samples], pb[samples]), pa)
+        # NaN rows (degenerate samples) count no inliers
+        masks = np.sqrt(((mapped - pb) ** 2).sum(axis=-1)) < thresh_px
+        counts = masks.sum(axis=1).tolist()
+        for u in map(slots.get, draws):
+            i += 1
+            if counts[u] > best_count and not at_infinity[u]:
+                best_count = counts[u]
+                best_mask = masks[u]
+                ratio = best_count / n
+                if ratio >= 1.0:
+                    stop = i
+                else:
+                    denom = np.log(max(1.0 - ratio ** 4, 1e-12))
+                    needed = int(np.ceil(np.log(max(1.0 - confidence, 1e-12)) / denom))
+                    stop = min(needed, max_iter)
+            if i >= stop:
                 break
-            denom = np.log(max(1.0 - ratio ** 4, 1e-12))
-            needed = int(np.ceil(np.log(max(1.0 - confidence, 1e-12)) / denom))
     if best_mask is None or best_count < 4:
-        raise EstimationFailure(f"no homography with >= 4 inliers in {i} iterations")
+        raise EstimationFailure(f"no homography with >= 4 inliers in {i} iterations", i)
     refit = dlt(pa[best_mask], pb[best_mask])
     final_mask = reprojection_errors(refit, pa, pb) < thresh_px
     if final_mask.sum() < 4:
         final_mask = best_mask
-    return refit, final_mask
+    return refit, final_mask, i
 
 
 def corner_error(h_gt, h_est, w, h):

@@ -354,7 +354,7 @@ class TestCriterion6:
         pb_in = h_r.apply(pa_in) + rng.normal(0, 0.5, size=(70, 2))
         pa = np.concatenate([pa_in, rng.uniform(0, [160, 120], size=(30, 2))])
         pb = np.concatenate([pb_in, rng.uniform(0, [160, 120], size=(30, 2))])
-        h_est, mask = ransac_homography(pa, pb, thresh_px=3.0, seed=13)
+        h_est, mask, _ = ransac_homography(pa, pb, thresh_px=3.0, seed=13)
         inlier_recall = mask[:70].mean()
         cerr = corner_error(h_r, h_est, 160, 120)
         # closed-form AUC and MMA hand examples

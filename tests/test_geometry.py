@@ -101,7 +101,7 @@ class TestRansac:
         rng = np.random.default_rng(3)
         h_true = random_homography(rng)
         pts = rng.uniform(0, 160, size=(40, 2))
-        h, mask = ransac_homography(pts, h_true.apply(pts), seed=7)
+        h, mask, _ = ransac_homography(pts, h_true.apply(pts), seed=7)
         assert mask.all()
         h_all = dlt(pts, h_true.apply(pts))
         assert projective_distance(h, h_all) < 1e-8
@@ -116,7 +116,7 @@ class TestRansac:
         pb_out = rng.uniform(0, [160, 120], size=(30, 2))
         pa = np.concatenate([pa_in, pa_out])
         pb = np.concatenate([pb_in, pb_out])
-        h, mask = ransac_homography(pa, pb, thresh_px=3.0, seed=11)
+        h, mask, _ = ransac_homography(pa, pb, thresh_px=3.0, seed=11)
         assert mask[:70].sum() >= 0.95 * 70
         assert corner_error(h_true, h, 160, 120) < 1.5
 
@@ -130,8 +130,8 @@ class TestRansac:
         pa = rng.uniform(0, 160, size=(50, 2))
         pb = h_true.apply(pa) + rng.normal(0, 1.0, size=(50, 2))
         pb[::5] += rng.uniform(20, 50, size=(10, 2))
-        h1, m1 = ransac_homography(pa, pb, seed=3)
-        h2, m2 = ransac_homography(pa, pb, seed=3)
+        h1, m1, _ = ransac_homography(pa, pb, seed=3)
+        h2, m2, _ = ransac_homography(pa, pb, seed=3)
         assert np.array_equal(h1.matrix, h2.matrix)
         assert np.array_equal(m1, m2)
 
@@ -243,3 +243,301 @@ class TestMetricsReport:
         assert r.mma_at(5.0, "all") == pytest.approx(50.0)
         rows = r.rows("synthetic", "c4star")
         assert ("synthetic", "c4star", "all", "auc", 10.0, r.auc_at(10.0)) in rows
+
+
+# ---------------------------------------------------------------------------
+# RANSAC against a one-hypothesis-at-a-time oracle
+#
+# `_oracle_dlt` and `_oracle_ransac` are the per-hypothesis implementation
+# that the chunked RANSAC replaced, with `Homography`'s checks and `apply`
+# written out, plus the iteration count in the result. The chunked version
+# must give the same bytes, mask, iteration count and errors.
+
+
+def _oracle_normalization(points):
+    c = points.mean(axis=0)
+    rms = np.sqrt(((points - c) ** 2).sum(axis=1).mean())
+    s = np.sqrt(2.0) / max(rms, 1e-12)
+    return np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1]])
+
+
+def _oracle_dlt(pa, pb):
+    n = len(pa)
+    ta = _oracle_normalization(pa)
+    tb = _oracle_normalization(pb)
+    qa = (np.concatenate([pa, np.ones((n, 1))], axis=1) @ ta.T)[:, :2]
+    qb = (np.concatenate([pb, np.ones((n, 1))], axis=1) @ tb.T)[:, :2]
+    a = np.zeros((2 * n, 9))
+    x, y = qa[:, 0], qa[:, 1]
+    u, v = qb[:, 0], qb[:, 1]
+    a[0::2, 0] = -x
+    a[0::2, 1] = -y
+    a[0::2, 2] = -1
+    a[0::2, 6] = x * u
+    a[0::2, 7] = y * u
+    a[0::2, 8] = u
+    a[1::2, 3] = -x
+    a[1::2, 4] = -y
+    a[1::2, 5] = -1
+    a[1::2, 6] = x * v
+    a[1::2, 7] = y * v
+    a[1::2, 8] = v
+    _, s, vt = np.linalg.svd(a)
+    if n == 4 and s[-2] < 1e-9 * max(s[0], 1e-12):
+        raise ValueError("degenerate correspondence configuration for dlt")
+    h_norm = vt[-1].reshape(3, 3)
+    h = np.linalg.inv(tb) @ h_norm @ ta
+    if abs(np.linalg.det(h)) < 1e-12:
+        raise ValueError("degenerate correspondence configuration for dlt")
+    m = h / h[2, 2] if abs(h[2, 2]) > 1e-12 else h
+    if not np.isfinite(m).all():
+        raise ValueError("Homography matrix has non-finite entries")
+    if abs(np.linalg.det(m)) <= 1e-15 * np.linalg.norm(m) ** 3:
+        raise ValueError("Homography matrix is singular")
+    return m
+
+
+def _oracle_errors(m, pa, pb):
+    q = np.concatenate([pa, np.ones((len(pa), 1))], axis=1) @ m.T
+    if np.any(np.abs(q[:, 2]) <= 1e-12 * np.linalg.norm(q, axis=1)):
+        raise ValueError("point maps to infinity under homography")
+    return np.sqrt(((q[:, :2] / q[:, 2:3] - pb) ** 2).sum(axis=1))
+
+
+def _oracle_ransac(pa, pb, thresh_px=3.0, confidence=0.995, max_iter=2000, seed=0):
+    n = len(pa)
+    if n < 4:
+        raise ValueError(f"ransac needs at least 4 matches, got {n}")
+    rng = np.random.default_rng(seed)
+    best_count = 0
+    best_mask = None
+    needed = max_iter
+    i = 0
+    while i < min(needed, max_iter):
+        i += 1
+        sample = rng.choice(n, size=4, replace=False)
+        try:
+            cand = _oracle_dlt(pa[sample], pb[sample])
+        except ValueError:
+            continue
+        try:
+            err = _oracle_errors(cand, pa, pb)
+        except ValueError:
+            continue
+        mask = err < thresh_px
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            ratio = count / n
+            if ratio >= 1.0:
+                break
+            denom = np.log(max(1.0 - ratio ** 4, 1e-12))
+            needed = int(np.ceil(np.log(max(1.0 - confidence, 1e-12)) / denom))
+    if best_mask is None or best_count < 4:
+        raise EstimationFailure(f"no homography with >= 4 inliers in {i} iterations", i)
+    refit = _oracle_dlt(pa[best_mask], pb[best_mask])
+    final_mask = _oracle_errors(refit, pa, pb) < thresh_px
+    if final_mask.sum() < 4:
+        final_mask = best_mask
+    return refit, final_mask, i
+
+
+def _outcome(fit, pa, pb, **kw):
+    """What a RANSAC call produced, in comparable form."""
+    try:
+        with np.errstate(all="ignore"):
+            m, mask, iterations = fit(pa, pb, **kw)
+    except (ValueError, EstimationFailure) as e:
+        return type(e).__name__, str(e), getattr(e, "iterations", None)
+    return "ok", np.asarray(m).tobytes(), mask.tobytes(), iterations
+
+
+def _assert_same_as_oracle(pa, pb, **kw):
+    got = _outcome(lambda a, b, **k: ransac_homography(a, b, **k), pa, pb, **kw)
+    want = _outcome(_oracle_ransac, pa, pb, **kw)
+    assert got == want
+    return got
+
+
+def _scene(rng, n, outlier_share, noise=0.5):
+    """n matches on a 96x96 frame under a mild random homography, a share of
+    them replaced by uniform outliers."""
+    h = random_homography(rng, scale=10.0)
+    pa = rng.uniform(0, 96, size=(n, 2))
+    pb = h.apply(pa) + rng.normal(0, noise, size=(n, 2))
+    out = rng.random(n) < outlier_share
+    pb[out] = rng.uniform(0, 96, size=(int(out.sum()), 2))
+    return pa, pb
+
+
+# the chunks are 8, 16, 32, ... hypotheses; these iteration counts end one
+CHUNK_ENDS = {8 * (2 ** m - 1) for m in range(1, 12)}
+
+
+class TestRansacMatchesOracle:
+    @pytest.mark.parametrize("outlier_share", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_random_inputs(self, outlier_share):
+        rng = np.random.default_rng(int(outlier_share * 100))
+        for seed in range(6):
+            n = int(rng.integers(4, 120))
+            _assert_same_as_oracle(*_scene(rng, n, outlier_share), seed=seed)
+
+    def test_every_size_from_4_to_200(self):
+        rng = np.random.default_rng(20)
+        for n in range(4, 201):
+            _assert_same_as_oracle(*_scene(rng, n, 0.4), seed=n, max_iter=150)
+
+    def test_all_outliers(self):
+        rng = np.random.default_rng(21)
+        pa = rng.uniform(0, 96, size=(60, 2))
+        pb = rng.uniform(0, 96, size=(60, 2))
+        out = _assert_same_as_oracle(pa, pb, thresh_px=0.5, seed=2)
+        # each sample fits its own 4 points, which never stops the search
+        assert out[0] == "ok" and out[-1] == 2000
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(22)
+        for seed in range(8):
+            pa, pb = _scene(rng, 40, 0.3)
+            dup = rng.integers(0, 40, size=25)
+            pa[dup], pb[dup] = pa[0], pb[0]
+            _assert_same_as_oracle(pa, pb, seed=seed)
+        # every match the same point: every sample is degenerate
+        out = _assert_same_as_oracle(np.ones((9, 2)), np.ones((9, 2)) * 3, seed=1, max_iter=77)
+        assert out == ("EstimationFailure", "no homography with >= 4 inliers in 77 iterations", 77)
+
+    def test_collinear_samples(self):
+        rng = np.random.default_rng(23)
+        for seed in range(8):
+            pa, pb = _scene(rng, 50, 0.2)
+            line = rng.random(50) < 0.6
+            t = rng.uniform(0, 96, size=int(line.sum()))
+            pa[line] = np.stack([t, 0.5 * t + 10], axis=1)
+            pb[line] = np.stack([t + 2, 0.5 * t + 13], axis=1)
+            _assert_same_as_oracle(pa, pb, seed=seed)
+
+    def test_sample_sending_a_point_to_infinity(self):
+        # the true map sends the line x = 100 to infinity; the match at
+        # x = 100 is an outlier, and every all-inlier sample's fit sends it
+        # to infinity, so those best hypotheses are skipped
+        rng = np.random.default_rng(24)
+        h = Homography(np.array([[1.0, 0, 0], [0, 1, 0], [-0.01, 0, 1]]))
+        pa = rng.uniform(0, 90, size=(30, 2))
+        pb = h.apply(pa)
+        pa = np.concatenate([pa, [[100.0, 40.0]]])
+        pb = np.concatenate([pb, [[50.0, 50.0]]])
+        with pytest.raises(ValueError, match="infinity"):
+            _oracle_errors(_oracle_dlt(pa[:4], pb[:4]), pa, pb)
+        for seed in range(4):
+            _assert_same_as_oracle(pa, pb, seed=seed, max_iter=300)
+
+    @pytest.mark.parametrize("max_iter", [1, 5, 13, 37, 101, 999])
+    def test_max_iter_not_a_chunk_multiple(self, max_iter):
+        rng = np.random.default_rng(25)
+        pa, pb = _scene(rng, 50, 0.95)
+        out = _assert_same_as_oracle(pa, pb, seed=3, max_iter=max_iter)
+        assert out[-1] == max_iter
+
+    def test_adaptive_stop_inside_a_chunk(self):
+        rng = np.random.default_rng(26)
+        stops = set()
+        for seed in range(20):
+            out = _assert_same_as_oracle(*_scene(rng, 80, 0.5), seed=seed)
+            stops.add(out[-1])
+        assert stops - CHUNK_ENDS - {2000}
+
+    def test_stop_when_every_match_is_an_inlier(self):
+        rng = np.random.default_rng(27)
+        h = random_homography(rng)
+        pa = rng.uniform(0, 96, size=(25, 2))
+        out = _assert_same_as_oracle(pa, h.apply(pa), seed=4)
+        assert out[0] == "ok" and out[-1] == 1
+        assert np.frombuffer(out[2], dtype=bool).all()
+
+    def test_failure_carries_iterations(self):
+        t = np.linspace(0, 1, 12)
+        pa = np.stack([t * 100, t * 100], axis=1)
+        with pytest.raises(EstimationFailure) as exc:
+            ransac_homography(pa, pa * 0.5, max_iter=50, seed=1)
+        assert exc.value.iterations == 50
+
+
+class TestStackedDLT:
+    def _sets(self, rng, k, n):
+        pa = rng.uniform(0, 200, size=(k, n, 2))
+        pb = pa @ rng.normal(1, 0.1, size=(2, 2)) + rng.normal(0, 2, size=(k, n, 2))
+        return pa, pb
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_rows_equal_per_set_calls(self, k):
+        rng = np.random.default_rng(30 + k)
+        for n in (4, 5, 9, 17, 64, 200):
+            pa, pb = self._sets(rng, k, n)
+            stacked = dlt(pa, pb)
+            assert stacked.shape == (k, 3, 3) and stacked.dtype == np.float64
+            for j in range(k):
+                assert stacked[j].tobytes() == dlt(pa[j], pb[j]).matrix.tobytes()
+                assert stacked[j].tobytes() == _oracle_dlt(pa[j], pb[j]).tobytes()
+
+    def test_nan_rows_where_a_set_is_rejected(self):
+        rng = np.random.default_rng(40)
+        pa, pb = self._sets(rng, 6, 4)
+        pa[1, 1], pb[1, 1] = pa[1, 0], pb[1, 0]              # a repeated match: rank test
+        pa[3] = rng.uniform(0, 1e7, size=(4, 2))             # det < 1e-12
+        pb[3] = rng.uniform(0, 1e-3, size=(4, 2))
+        pa[4] = rng.uniform(0, 1e-6, size=(4, 2))            # Homography: singular
+        t = rng.uniform(0, 50, size=4)
+        pb[4] = np.stack([t, 2 * t + 1], axis=1)
+        rejected = {1: "degenerate", 3: "degenerate", 4: "singular"}
+        stacked = dlt(pa, pb)
+        for j in range(6):
+            if j in rejected:
+                for fit in (_oracle_dlt, dlt):
+                    with pytest.raises(ValueError, match=rejected[j]):
+                        fit(pa[j], pb[j])
+                assert np.isnan(stacked[j]).all()
+            else:
+                assert stacked[j].tobytes() == _oracle_dlt(pa[j], pb[j]).tobytes()
+
+    def test_single_set_equals_oracle(self):
+        rng = np.random.default_rng(41)
+        for n in range(4, 60):
+            pa, pb = self._sets(rng, 1, n)
+            assert dlt(pa[0], pb[0]).matrix.tobytes() == _oracle_dlt(pa[0], pb[0]).tobytes()
+
+
+class TestPointChecks:
+    def test_ransac_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="matching"):
+            ransac_homography(np.zeros((30, 2)), np.zeros((30, 3)))
+
+    def test_ransac_rejects_nan(self):
+        rng = np.random.default_rng(50)
+        pa, pb = _scene(rng, 30, 0.0)
+        pb[7, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ransac_homography(pa, pb)
+
+    def test_ransac_rejects_inf(self):
+        rng = np.random.default_rng(51)
+        pa, pb = _scene(rng, 30, 0.0)
+        pa[3, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            ransac_homography(pa, pb)
+
+    def test_dlt_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="matching"):
+            dlt(np.zeros((6, 2)), np.zeros((6, 3)))
+        with pytest.raises(ValueError, match="matching"):
+            dlt(np.zeros((2, 6, 2)), np.zeros((3, 6, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dlt_rejects_non_finite(self, bad):
+        pts = np.arange(16.0).reshape(8, 2) ** 1.5
+        moved = pts.copy()
+        moved[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dlt(pts, moved)
+        with pytest.raises(ValueError, match="finite"):
+            dlt(np.stack([pts, moved]), np.stack([pts, pts]))

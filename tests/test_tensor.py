@@ -604,6 +604,24 @@ def _fd_cases():
     }
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 48, 16, 16), (1, 32, 120, 160), (3, 5, 7, 9)])
+def test_upsample_backward_equals_strided_sum_bitwise(shape, dtype):
+    # training (64x64, batch 2), inference (480x640) and an odd size; the
+    # reference is the reduction the backward pass used to run
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+    with GradientTape() as tape:
+        tape.watch(x)
+        y = T.upsample_nearest2x(x)
+        g = rng.normal(size=y.shape).astype(dtype)
+        grads = backward(T.sum_(y * Tensor(g, dtype=dtype)), tape)
+    b, c, h, w = shape
+    ref = g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5))
+    assert grads[x].dtype == dtype
+    assert grads[x].tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(_fd_cases().keys()))
 def test_op_gradients(name):
     params, f = _fd_cases()[name]
