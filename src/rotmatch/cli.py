@@ -92,8 +92,11 @@ def _cmd_generate(args):
     from .datasets import DatasetManifest, save_sequence, synth_dataset
 
     h, w = args.size
-    manifest = synth_dataset(args.out, args.scenes, h, w, seed=args.seed,
-                             jitter=not args.no_jitter, split=args.split)
+    try:
+        manifest = synth_dataset(args.out, args.scenes, h, w, seed=args.seed,
+                                 jitter=not args.no_jitter, split=args.split)
+    except ValueError as e:
+        raise SystemExit(f"generate: {e}")
     print(f"wrote {args.scenes} scenes to {args.out}")
     tags = []
     if args.rotate_a is not None:
@@ -185,8 +188,11 @@ def _cmd_equivcheck(args):
         if backbone.config.variant != args.variant:
             raise SystemExit(f"--variant {args.variant} does not match the checkpoint's "
                              f"backbone.variant {backbone.config.variant}")
-    passed, lines = equivariance_check(args.variant, backbone=backbone,
-                                       trials=args.trials)
+    try:
+        passed, lines = equivariance_check(args.variant, backbone=backbone,
+                                           trials=args.trials)
+    except ValueError as e:
+        raise SystemExit(f"equivcheck: {e}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.report:

@@ -375,6 +375,8 @@ class DatasetManifest:
 def synth_dataset(root, n_scenes, h, w, seed, params=None, jitter=True,
                   split="synthetic"):
     """Generate a dataset directory with manifest; deterministic per seed."""
+    if n_scenes < 1:
+        raise ValueError(f"a dataset needs at least one scene, got {n_scenes}")
     if h <= 0 or w <= 0 or h % 8 or w % 8:
         raise ValueError(f"scene dims must be positive and divisible by 8, got {h}x{w}")
     os.makedirs(root, exist_ok=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import load_manifest, splitmix64
-from .geometry import (EstimationFailure, MetricsReport, corner_error, mma,
+from .geometry import (EstimationFailure, MetricsReport, PairStats, corner_error, mma,
                        ransac_homography)
 from .imageio import write_ppm
 from .matcher import write_match_file
@@ -37,7 +37,9 @@ def top_matches(matches):
 def evaluate_pairs(model, sequences, config):
     """Run the full matching + homography pipeline over sequence pairs.
     The model's `match_pair` runs in eval mode and restores the mode it
-    found, so the model is left as it was."""
+    found, so the model is left as it was. Each pair's `PairStats` (match
+    and window counts, RANSAC iterations, failure reason) is kept on the
+    report."""
     ecfg = config.eval
     report = MetricsReport(thresholds=tuple(float(t) for t in ecfg.thresholds))
     tasks = []
@@ -46,27 +48,31 @@ def evaluate_pairs(model, sequences, config):
             tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, img_b, hom))
 
     for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
-        _, matches, _ = model.match_pair(img_a, img_b)
+        mset, matches, dropped = model.match_pair(img_a, img_b)
+        stats = PairStats(coarse_matches=len(mset), fine_windows=len(matches),
+                          fine_dropped=dropped)
         matches = top_matches(matches)
         h, w = img_a.shape[1:]
-        failed = False
-        if len(matches) >= 4:
+        h_est = None
+        if len(matches) < 4:
+            stats.failure = "too_few_matches"
+        else:
             pa = np.array([m.point_a for m in matches])
             pb = np.array([m.point_b for m in matches])
             try:
-                h_est, _, _ = ransac_homography(pa, pb, seed=splitmix64(0, pair_index))
-            except (EstimationFailure, ValueError):
-                h_est = None
-                failed = True
-        else:
-            h_est = None
-            failed = True
+                h_est, _, stats.ransac_iterations = ransac_homography(
+                    pa, pb, seed=splitmix64(0, pair_index))
+            except EstimationFailure as e:
+                stats.failure, stats.ransac_iterations = "estimation_failure", e.iterations
+            except ValueError:
+                stats.failure = "value_error"
         err = corner_error(hom, h_est, w, h)
+        failed = stats.failure is not None
         if failed:
             frac = {float(t): 0.0 for t in ecfg.thresholds}
         else:
             frac = mma(matches, hom, thresholds=ecfg.thresholds)
-        report.add_pair(pair_id, split, err, frac, failed=failed)
+        report.add_pair(pair_id, split, err, frac, failed=failed, stats=stats)
     return report
 
 
@@ -336,6 +342,8 @@ def equivariance_check(variant, backbone=None, trials=100, seed=0):
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    if trials < 1:
+        raise ValueError(f"equivariance check needs at least one trial, got {trials}")
     order = VARIANTS[variant][0]
     rng = np.random.default_rng(seed)
     lines = []

@@ -185,7 +185,10 @@ def ransac_homography(points_a, points_b, thresh_px=3.0, confidence=0.995,
     The samples are drawn one `rng.choice` at a time and solved in chunks
     (8, then twice as many each time) by one stacked `dlt` call; the chunk
     is then walked in draw order, so hypotheses drawn past the stopping
-    point are never read.
+    point are never read. The search also stops once every one of the
+    n(n-1)(n-2)(n-3) ordered samples has been drawn: later draws repeat a
+    solved sample, which cannot beat the best count, so only the iteration
+    count is smaller for it (24 at most with 4 matches, not `max_iter`).
 
     Returns (Homography, inlier_mask, iterations). Raises ValueError for
     point arrays that are not matching, finite (n, 2) arrays with n >= 4,
@@ -200,6 +203,8 @@ def ransac_homography(points_a, points_b, thresh_px=3.0, confidence=0.995,
     best_count = 0
     best_mask = None
     stop = max_iter
+    every = n * (n - 1) * (n - 2) * (n - 3)   # distinct ordered samples
+    seen = set()
     chunk = 8
     i = 0
     while i < stop:
@@ -213,8 +218,10 @@ def ransac_homography(points_a, points_b, thresh_px=3.0, confidence=0.995,
         # NaN rows (degenerate samples) count no inliers
         masks = np.sqrt(((mapped - pb) ** 2).sum(axis=-1)) < thresh_px
         counts = masks.sum(axis=1).tolist()
-        for u in map(slots.get, draws):
+        for d in draws:
+            u = slots[d]
             i += 1
+            seen.add(d)
             if counts[u] > best_count and not at_infinity[u]:
                 best_count = counts[u]
                 best_mask = masks[u]
@@ -225,6 +232,8 @@ def ransac_homography(points_a, points_b, thresh_px=3.0, confidence=0.995,
                     denom = np.log(max(1.0 - ratio ** 4, 1e-12))
                     needed = int(np.ceil(np.log(max(1.0 - confidence, 1e-12)) / denom))
                     stop = min(needed, max_iter)
+            if len(seen) == every:
+                stop = i
             if i >= stop:
                 break
     if best_mask is None or best_count < 4:
@@ -278,6 +287,16 @@ def auc(errors, threshold):
 
 
 @dataclass
+class PairStats:
+    """What the pipeline did on one pair; kept on the report, not in its CSV."""
+    coarse_matches: int = 0
+    fine_windows: int = 0        # windows the fine stage computed
+    fine_dropped: int = 0        # windows that left a fine map
+    ransac_iterations: int = 0
+    failure: str = None          # too_few_matches | estimation_failure | value_error
+
+
+@dataclass
 class MetricsReport:
     """Per-pair corner errors and MMA fractions with split tags, plus the
     aggregates the tables report."""
@@ -286,14 +305,16 @@ class MetricsReport:
     splits: list = field(default_factory=list)
     corner_errors: list = field(default_factory=list)
     mma_fractions: list = field(default_factory=list)   # dict threshold -> fraction
+    pair_stats: list = field(default_factory=list)      # PairStats or None per pair
     n_failures: int = 0
     thresholds: tuple = (3.0, 5.0, 10.0)
 
-    def add_pair(self, pair_id, split, corner_err, mma_frac, failed=False):
+    def add_pair(self, pair_id, split, corner_err, mma_frac, failed=False, stats=None):
         self.pair_ids.append(pair_id)
         self.splits.append(split)
         self.corner_errors.append(float(corner_err))
         self.mma_fractions.append({float(k): float(v) for k, v in mma_frac.items()})
+        self.pair_stats.append(stats)
         if failed:
             self.n_failures += 1
 

@@ -5,7 +5,7 @@ single-file checkpoint save/load (the config text sits in the manifest).
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, check_image
+from .backbone import Backbone, FineFeatures, check_image
 from .checkpoint import checkpoint_config, load_checkpoint, save_checkpoint
 from .config import load_config
 from .matcher import CoarseMatcher, FineMatcher
@@ -27,14 +27,19 @@ class MatcherModel(Module):
 
     def features(self, images):
         """Backbone features for a [b, 3, h, w] batch -> (coarse, fine)."""
-        return self.backbone(images)
+        return self.backbone.features(images)
 
     def match_pair(self, img_a, img_b):
         """Match two [3, h, w] images of one size, values in [0, 1], in eval
         mode.
 
-        From `tensor.LANE_PIXELS` pixels on, each image gets its own backbone
-        pass (not one batched pass), in its own `tensor.fork_join` lane.
+        Each image's backbone trunk (`Backbone.__call__`) gives its coarse
+        features, which are
+        matched; the fine features are then computed only for the windows
+        the fine stage keeps (`backbone.FineFeatures`), and not at all when
+        it keeps none. From `tensor.LANE_PIXELS` pixels on, each image gets
+        its own trunk pass (not one batched pass), in its own
+        `tensor.fork_join` lane.
 
         Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows).
         """
@@ -46,12 +51,14 @@ class MatcherModel(Module):
         with self.mode(False):
             imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
             if imgs[0, 0].size < T.LANE_PIXELS:
-                coarse, fine = (v.data for v in self.backbone(Tensor(imgs)))
+                batch = self.backbone(Tensor(imgs))
+                passes = [[Tensor(v.data[i:i + 1]) for v in batch] for i in range(2)]
             else:
-                coarse, fine = zip(*((c.data[0], f.data[0]) for c, f in T.fork_join(
-                    [lambda x=x: self.backbone(Tensor(x[None])) for x in imgs])))
-            mset = self.coarse.match(Tensor(coarse[0]), Tensor(coarse[1]))
-            matches, dropped = self.fine.refine(Tensor(fine[0]), Tensor(fine[1]), mset)
+                passes = T.fork_join([lambda x=x: self.backbone(Tensor(x[None])) for x in imgs])
+            (coarse_a, *maps_a), (coarse_b, *maps_b) = passes
+            mset = self.coarse.match(Tensor(coarse_a.data[0]), Tensor(coarse_b.data[0]))
+            matches, dropped = self.fine.refine(FineFeatures(self.backbone, *maps_a),
+                                                FineFeatures(self.backbone, *maps_b), mset)
         return mset, matches, dropped
 
 

@@ -253,7 +253,9 @@ class InnerBatchNorm(Module):
 
 
 def calibrate_norm_stats(model, x):
-    """Set running statistics of every norm layer from one forward pass.
+    """Set running statistics of every norm layer from one forward pass,
+    `model.features(x)` (a Backbone's or a MatcherModel's: the whole
+    backbone, fine branch included).
 
     Fresh-initialized running stats (mean 0, var 1) rarely match actual
     activation statistics, so eval-mode features of an untrained model can
@@ -265,7 +267,7 @@ def calibrate_norm_stats(model, x):
         m.momentum = 1.0
     try:
         with model.mode(True):
-            model(x)
+            model.features(x)
     finally:
         for m, mom in zip(norms, saved):
             m.momentum = mom

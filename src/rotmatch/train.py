@@ -106,7 +106,7 @@ def batch_loss(model, batch):
     stats when no pair has a ground-truth assignment.
     """
     imgs = np.stack([im for pair in batch for im in (pair[0], pair[1])])
-    coarse, fine = model.backbone(Tensor(imgs.astype(np.float32)))
+    coarse, fine = model.features(Tensor(imgs.astype(np.float32)))
     nlls, fine_sqs = [], []
     stats = {"assigned": 0, "coarse_correct": 0, "fine_terms": 0}
     h, w = imgs.shape[2], imgs.shape[3]

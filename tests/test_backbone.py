@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import rotmatch
-from rotmatch.backbone import Backbone, BackboneConfig, extract
+from rotmatch import tensor as T
+from rotmatch.backbone import Backbone, BackboneConfig, FineFeatures, extract
+from rotmatch.matcher import FINE_WINDOW
 from rotmatch.nn import param_count
-from rotmatch.tensor import Tensor
+from rotmatch.tensor import Tensor, crop_windows
 
 
 def textured_image(rng, h, w):
@@ -348,3 +350,124 @@ def test_lanes_on_every_cpu_whatever_blas_threads():
         out.append(proc.stdout.split())
     assert [o[:3] for o in out] == [["2", "True", "2"]] * 3
     assert len({o[3] for o in out}) == 1
+
+
+def _calibrated_matcher(variant, size, dtype=np.float32, theta_c=0.2):
+    """A default-config model of `variant` with norms calibrated on a random
+    pair of `size`, in eval mode, and that pair."""
+    from rotmatch.config import Config
+    from rotmatch.model import MatcherModel
+    from rotmatch.steerable import calibrate_norm_stats
+    cfg = Config.default()
+    cfg.backbone.variant = variant
+    cfg.matcher.theta_c = theta_c
+    model = MatcherModel(cfg, rng=np.random.default_rng(0), dtype=dtype)
+    pair = np.random.default_rng(1).random((2, 3) + size).astype(np.float32)
+    calibrate_norm_stats(model.backbone, Tensor(pair.astype(dtype)))
+    return model.eval(), pair
+
+
+def _window_cases(rng, h, w):
+    """Centre sets on an h x w fine map: a window at each corner, random
+    sets of 1 to 67 windows, and sets just below and at the size from which
+    `FineFeatures.crop` computes the whole map."""
+    r = FINE_WINDOW // 2
+    corners = np.array([[r, r], [r, w - 1 - r], [h - 1 - r, r], [h - 1 - r, w - 1 - r]])
+    limit = -(-h * w // (FINE_WINDOW + 2) ** 2)
+    cases = [corners[i:i + 1] for i in range(4)] + [corners]
+    for n in (1, 2, 10, 67, limit - 1, limit):
+        c = np.stack([rng.integers(r, h - r, n), rng.integers(r, w - r, n)], axis=1)
+        cases.append(np.concatenate([corners, c]) if n > 4 else c)
+    return cases
+
+
+class TestFineFeatures:
+    """Windows of `FineFeatures`, which `match_pair` computes, against crops
+    of the whole fine map, which `Backbone.features` computes."""
+
+    @staticmethod
+    def _pairs(model, x, image):
+        bb = model.backbone
+        _, fine = bb.features(Tensor(x))
+        _, u2, f1 = bb(Tensor(x))
+        lazy = FineFeatures(bb, Tensor(u2.data[image:image + 1]),
+                            Tensor(f1.data[image:image + 1]))
+        full = Tensor(fine.data[image])
+        assert lazy.shape == full.shape
+        for centers in _window_cases(np.random.default_rng(image), *full.shape[1:]):
+            yield (lazy.crop(centers, FINE_WINDOW).data,
+                   crop_windows(full, centers, FINE_WINDOW).data)
+
+    @pytest.mark.parametrize("variant", ["plain", "c4star", "c8star"])
+    def test_bitwise_equal_to_full_map_crops(self, variant):
+        model, pair = _calibrated_matcher(variant, (64, 64))
+        for x, images in ((pair, (0, 1)), (pair[1:], (0,))):   # batch 2, batch 1
+            for image in images:
+                for got, want in self._pairs(model, x, image):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_float64_model_within_rounding(self):
+        # float64 GEMMs round the last columns of a run differently, so a
+        # strip's windows and the whole map's agree to rounding only
+        model, pair = _calibrated_matcher("c4star", (64, 64), dtype=np.float64)
+        for image in (0, 1):
+            for got, want in self._pairs(model, pair, image):
+                assert got.dtype == np.float64
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_whole_map_from_the_count_of_positions(self, monkeypatch):
+        model, pair = _calibrated_matcher("c4star", (64, 64))
+        bb = model.backbone
+        _, u2, f1 = bb(Tensor(pair[:1]))
+        lazy, shapes = FineFeatures(bb, u2, f1), []
+        fine_features = Backbone.fine_features
+        monkeypatch.setattr(Backbone, "fine_features",
+                            lambda self, u1: shapes.append(u1.shape) or fine_features(self, u1))
+        p = FINE_WINDOW + 2
+        limit = -(-32 * 32 // p ** 2)   # 21 patches of 7 x 7 hold 1029 >= 32 * 32 positions
+        for n in (limit - 1, limit):
+            lazy.crop(np.full((n, 2), 16), FINE_WINDOW)
+        assert shapes == [(1, 32, p, (limit - 1) * p), (1, 32, 32, 32)]
+
+    def test_no_window_runs_no_fine_branch(self, monkeypatch):
+        # at theta_c = 1 no coarse confidence passes, so no window is kept
+        from rotmatch.steerable import EquivConv
+        model, pair = _calibrated_matcher("c4star", (64, 64), theta_c=1.0)
+        called, conv = [], EquivConv.__call__
+        monkeypatch.setattr(EquivConv, "__call__",
+                            lambda self, x, norm=None: called.append(self) or conv(self, x, norm))
+        mset, matches, dropped = model.match_pair(*pair)
+        assert len(mset) == 0 and matches == [] and dropped == 0
+        bb = model.backbone
+        assert bb.stem in called
+        assert not {id(bb.lateral1), id(bb.smooth1), id(bb.fine_head)} & set(map(id, called))
+
+    @pytest.mark.parametrize("size", [(64, 64), (160, 160)])   # batched, then laned
+    def test_match_pair_equals_refine_on_full_maps(self, size, monkeypatch):
+        # a fresh model matches next to nothing, so the coarse stage is given
+        # 40 random cell pairs, some of whose windows leave the fine map
+        from rotmatch.matcher import CoarseMatcher, CoarseMatchSet
+        model, pair = _calibrated_matcher("c4star", size)
+        grid = (size[0] // 8, size[1] // 8)
+        rng = np.random.default_rng(2)
+        idx_a, idx_b = (rng.choice(grid[0] * grid[1], 40, replace=False) for _ in "ab")
+        mset = CoarseMatchSet(idx_a=idx_a, idx_b=idx_b, confidence=rng.random(40),
+                              grid_a=grid, grid_b=grid)
+        monkeypatch.setattr(CoarseMatcher, "match", lambda self, a, b: mset)
+        _, matches, dropped = model.match_pair(*pair)
+        assert len(matches) > 20 and dropped > 0
+        if size[0] * size[1] >= T.LANE_PIXELS:   # one backbone pass per image
+            fine_a, fine_b = (model.features(Tensor(x[None]))[1].data[0] for x in pair)
+        else:
+            fine_a, fine_b = model.features(Tensor(pair))[1].data
+        want = model.fine.refine(Tensor(fine_a), Tensor(fine_b), mset)
+        assert repr((matches, dropped)) == repr(want)
+
+    def test_calibration_sets_fine_branch_norm(self):
+        from rotmatch.steerable import calibrate_norm_stats
+        model = Backbone(BackboneConfig(variant="c4star"), rng=np.random.default_rng(0))
+        norm = model.smooth1_bn
+        assert not norm.running_mean.any() and (norm.running_var == 1).all()
+        x = Tensor(np.random.default_rng(1).random((1, 3, 32, 32)).astype(np.float32))
+        calibrate_norm_stats(model, x)
+        assert norm.running_mean.all() and (norm.running_var != 1).all()

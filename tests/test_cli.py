@@ -35,6 +35,13 @@ class TestGenerate:
             for iw, ie in zip([w.image_a] + w.images_b, [e.image_a] + e.images_b):
                 assert np.abs(iw - ie).max() <= 0.5 / 255 + 1e-6
 
+    @pytest.mark.parametrize("scenes", ["0", "-2"])
+    def test_no_scenes_exit_nonzero(self, tmp_path, scenes):
+        out = str(tmp_path / "data")
+        with pytest.raises(SystemExit, match=f"generate: .* at least one scene, got {scenes}"):
+            main(["generate", "--out", out, "--scenes", scenes, "--size", "32x32"])
+        assert not os.path.exists(out)
+
     def test_generate_deterministic(self, tmp_path):
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
@@ -160,6 +167,12 @@ class TestEquivcheckCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exit_nonzero(self, trials, capsys):
+        with pytest.raises(SystemExit, match=f"equivcheck: .* at least one trial, got {trials}"):
+            main(["equivcheck", "--variant", "c4star", "--trials", trials])
+        assert "PASS" not in capsys.readouterr().out
 
     def test_variant_must_match_checkpoint(self, tmp_path):
         from rotmatch.config import Config

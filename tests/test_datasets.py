@@ -295,6 +295,12 @@ class TestSynthDataset:
         with pytest.raises(ValueError, match="divisible by 8"):
             synth_dataset(str(tmp_path / "bad"), 1, 30, 32, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_scenes_rejected(self, tmp_path, n):
+        with pytest.raises(ValueError, match=f"at least one scene, got {n}"):
+            synth_dataset(str(tmp_path / "none"), n, 32, 32, seed=0)
+        assert not (tmp_path / "none").exists()
+
     @pytest.mark.parametrize("h,w", [(0, 0), (-8, 8), (8, 0)])
     def test_non_positive_dims_rejected(self, tmp_path, h, w):
         with pytest.raises(ValueError, match=f"positive .* got {h}x{w}"):

@@ -250,8 +250,9 @@ class TestMetricsReport:
 #
 # `_oracle_dlt` and `_oracle_ransac` are the per-hypothesis implementation
 # that the chunked RANSAC replaced, with `Homography`'s checks and `apply`
-# written out, plus the iteration count in the result. The chunked version
-# must give the same bytes, mask, iteration count and errors.
+# written out, plus the iteration count in the result, and the stop once
+# every ordered sample has been drawn. The chunked version must give the
+# same bytes, mask, iteration count and errors.
 
 
 def _oracle_normalization(points):
@@ -312,10 +313,12 @@ def _oracle_ransac(pa, pb, thresh_px=3.0, confidence=0.995, max_iter=2000, seed=
     best_count = 0
     best_mask = None
     needed = max_iter
+    every, seen = n * (n - 1) * (n - 2) * (n - 3), set()
     i = 0
-    while i < min(needed, max_iter):
+    while i < min(needed, max_iter) and len(seen) < every:
         i += 1
         sample = rng.choice(n, size=4, replace=False)
+        seen.add(tuple(sample))
         try:
             cand = _oracle_dlt(pa[sample], pb[sample])
         except ValueError:
@@ -454,6 +457,17 @@ class TestRansacMatchesOracle:
         out = _assert_same_as_oracle(pa, h.apply(pa), seed=4)
         assert out[0] == "ok" and out[-1] == 1
         assert np.frombuffer(out[2], dtype=bool).all()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_stop_once_every_sample_is_drawn(self, n):
+        # collinear matches: every sample is degenerate, and after all
+        # n(n-1)(n-2)(n-3) orderings have been drawn no draw is new
+        t = np.linspace(0, 1, n)
+        pa = np.stack([t * 100, t * 100], axis=1)
+        out = _assert_same_as_oracle(pa, pa * 0.5, seed=5)
+        assert out[0] == "EstimationFailure"
+        assert n * (n - 1) * (n - 2) * (n - 3) <= out[-1] < 2000
+        assert out[1] == f"no homography with >= 4 inliers in {out[-1]} iterations"
 
     def test_failure_carries_iterations(self):
         t = np.linspace(0, 1, 12)

@@ -551,16 +551,16 @@ class TestPairLanes:
     @staticmethod
     def match(model, pair):
         """match_pair's bytes (the tokens it matches, then its matches), the
-        (input, coarse, fine) arrays of its backbone passes, and the threads
-        that ran those passes and the attention blocks."""
+        input and the (coarse, u2, f1) arrays of its backbone passes, and
+        the threads that ran those passes and the attention blocks."""
         tokens, passes, threads = [], [], {"backbone": set(), "block": set()}
         select, backbone, block = M.mutual_matches, Backbone.__call__, M.AttentionBlock.__call__
 
         def run_backbone(self, x):
             threads["backbone"].add(threading.get_ident())
-            coarse, fine = backbone(self, x)
-            passes.append((x.data, coarse.data, fine.data))
-            return coarse, fine
+            out = backbone(self, x)
+            passes.append((x.data, [v.data for v in out]))
+            return out
 
         def run_block(self, x, source):
             threads["block"].add(threading.get_ident())
@@ -584,19 +584,19 @@ class TestPairLanes:
             runs[n] = self.match(model, pair)
         assert runs[1][0] == runs[2][0]
         for n, (_, passes, threads) in runs.items():
-            assert [x.shape[0] for x, _, _ in passes] == [1, 1]
+            assert [x.shape[0] for x, _ in passes] == [1, 1]
             assert [len(t) for t in threads.values()] == [n, n]
 
     def test_image_features_match_the_batch(self, pair_model):
         # a batch-1 pass convolves in runs twice as long as the batch-2
         # pass's, which rounds differently
         model, pair = pair_model
-        coarse, fine = model.features(Tensor(pair))
+        batch = model.backbone(Tensor(pair))
         _, passes, _ = self.match(model, pair)
-        for x, c, f in passes:
+        for x, maps in passes:
             i = [np.array_equal(x[0], img) for img in pair].index(True)
-            for got, want in ((c[0], coarse.data[i]), (f[0], fine.data[i])):
-                assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+            for got, want in zip(maps, batch):
+                assert np.abs(got[0] - want.data[i]).max() <= 1e-6 * np.abs(want.data[i]).max()
 
     def test_embed_under_a_tape_runs_here(self, pair_model, monkeypatch):
         model, pair = pair_model

@@ -13,7 +13,7 @@ from rotmatch.evaluate import (equivariance_check, evaluate, evaluate_pairs,
                                match_images, match_overlay, parse_csv,
                                render_table, report_csv)
 from rotmatch.geometry import Homography
-from rotmatch.matcher import FineMatch
+from rotmatch.matcher import CoarseMatchSet, FineMatch
 from rotmatch.model import MatcherModel
 from rotmatch.tensor import GradientTape, backward
 from rotmatch.train import batch_loss, sample_batch, train
@@ -217,7 +217,14 @@ class _OracleModel:
                 if 0 <= pb[0] < w and 0 <= pb[1] < h:
                     matches.append(FineMatch(point_a=pa, point_b=(float(pb[0]), float(pb[1])),
                                              confidence=1.0))
-        return None, matches, 0
+        return _coarse_set(len(matches)), matches, 0
+
+
+def _coarse_set(n):
+    """A CoarseMatchSet of n matches, for stand-ins of `match_pair`."""
+    idx = np.arange(n)
+    return CoarseMatchSet(idx_a=idx, idx_b=idx, confidence=np.ones(n),
+                          grid_a=(8, 8), grid_b=(8, 8))
 
 
 class TestEvaluate:
@@ -305,13 +312,58 @@ class TestEvaluate:
             config = cfg
 
             def match_pair(self, a, b):
-                return None, [], 0
+                return _coarse_set(0), [], 0
 
         report = evaluate_pairs(_NoMatches(), seqs, cfg)
         assert report.n_failures == 5
         assert all(e == float("inf") for e in report.corner_errors)
         assert report.mma_at(10.0, "all") == 0.0
         assert report.auc_at(10.0, "all") == 0.0
+        assert [s.failure for s in report.pair_stats] == ["too_few_matches"] * 5
+
+    def test_pair_stats_name_each_failure(self, tmp_path, monkeypatch):
+        # perfect matches; RANSAC is made to fail on the second and third pairs
+        import rotmatch.evaluate as E
+        from rotmatch.geometry import EstimationFailure
+        seqs = synth_dataset(str(tmp_path / "d"), 1, 64, 64, seed=11).sequences()
+        homs = [hom for seq in seqs for _, _, _, hom in seq.pairs()]
+        cfg = Config.default()
+        ransac, calls = E.ransac_homography, []
+
+        def flaky(pa, pb, **kw):
+            calls.append(len(pa))
+            if len(calls) == 2:
+                raise EstimationFailure("no homography", 17)
+            if len(calls) == 3:
+                raise ValueError("bad points")
+            return ransac(pa, pb, **kw)
+
+        monkeypatch.setattr(E, "ransac_homography", flaky)
+        report = evaluate_pairs(_OracleModel(cfg, homs), seqs, cfg)
+        stats = report.pair_stats
+        assert [s.failure for s in stats] == [None, "estimation_failure", "value_error",
+                                              None, None]
+        assert report.n_failures == 2
+        assert [s.coarse_matches for s in stats] == [s.fine_windows for s in stats] == calls
+        assert stats[0].ransac_iterations >= 1 and stats[1].ransac_iterations == 17
+        assert stats[2].ransac_iterations == 0
+        assert all(s.fine_dropped == 0 for s in stats)
+
+    def test_pair_stats_of_a_trained_model(self, trained):
+        # the counts `match_pair` returns, and RANSAC's, per pair
+        cfg, _, model, data = trained
+        from rotmatch.datasets import load_manifest
+        manifest = load_manifest(data)
+        seqs = [manifest.load(name, "none") for name in manifest.sequence_names()]
+        report = evaluate_pairs(model, seqs, cfg)
+        stats = report.pair_stats
+        assert len(stats) == len(report.pair_ids) == 40
+        for s in stats:
+            assert s.fine_windows + s.fine_dropped == s.coarse_matches
+            assert (s.failure == "too_few_matches") == (s.fine_windows < 4)
+            assert (s.ransac_iterations > 0) == (s.fine_windows >= 4)
+        assert sum(s.failure is not None for s in stats) == report.n_failures
+        assert sum(s.fine_windows for s in stats) > 0
 
 
 class TestMatchImages:
@@ -383,6 +435,11 @@ class TestEquivarianceCheck:
         assert list(after) == list(before)
         assert all(np.array_equal(after[k], before[k]) for k in before)
         assert model.training
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
+            equivariance_check("c4star", trials=trials)
 
     def test_c8star_reports_45deg(self):
         passed, lines = equivariance_check("c8star", trials=10)
