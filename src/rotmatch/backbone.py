@@ -124,8 +124,7 @@ class Backbone(Module):
     def __call__(self, x):
         """The trunk: everything but the fine branch. x: [b, 3, h, w] with
         h, w divisible by 8 -> (coarse, u2, f1): the coarse batch, and the
-        1/4- and 1/2-resolution maps that `fine_input` merges. `features`
-        adds the fine branch on the whole map."""
+        1/4- and 1/2-resolution maps that `fine_features` reads."""
         b, c, h, w = x.shape
         if h % COARSE_STRIDE or w % COARSE_STRIDE:
             raise ValueError(f"backbone requires spatial dims divisible by 8, got {h}x{w}")
@@ -138,57 +137,16 @@ class Backbone(Module):
         u2 = T.relu(self.smooth2(u2, self.smooth2_bn))          # 1/4
         return coarse, u2, f1
 
-    def fine_input(self, u2, f1):
-        """The map u1 that `fine_features` reads, at 1/2 resolution."""
-        return T.upsample_nearest2x(u2) + self.lateral1(f1)
-
-    def fine_features(self, u1):
-        """smooth1 -> relu -> fine_head on a [b, C, h, w] map: the whole u1,
-        or a strip of its padded patches (`FineFeatures.crop`)."""
+    def fine_features(self, u2, f1):
+        """The fine branch on the trunk's maps -> the fine batch, at 1/2
+        resolution."""
+        u1 = T.upsample_nearest2x(u2) + self.lateral1(f1)
         return self.fine_head(T.relu(self.smooth1(u1, self.smooth1_bn)))
 
     def features(self, x):
         """x: [b, 3, h, w] with h, w divisible by 8 -> (coarse, fine) batches."""
         coarse, u2, f1 = self(x)
-        return coarse, self.fine_features(self.fine_input(u2, f1))
-
-
-class FineFeatures:
-    """The fine feature map of one image, computed only where it is read.
-
-    Holds the trunk maps u2 and f1 ([1, C, h/4, w/4] and [1, C', h/2, w/2])
-    and has the fine map's `shape`, [fine_dim, h/2, w/2]. `crop` computes
-    no fine feature until it is called.
-    """
-
-    def __init__(self, backbone, u2, f1):
-        self.backbone, self.u2, self.f1 = backbone, u2, f1
-        self.shape = (backbone.config.fine_dim,) + f1.shape[2:]
-
-    def crop(self, centers, w):
-        """The w x w windows around the (row, col) `centers` [n, 2] of the
-        fine map, as `tensor.crop_windows` of it gives them: [n, fine_dim, w, w],
-        not differentiable.
-
-        smooth1 is 3x3 with one pixel of zero padding, so a window's features
-        read only the (w+2) x (w+2) patch of u1 around it, padded the same
-        way. The patches are laid side by side in one [1, C, w+2, n(w+2)]
-        strip, `fine_features` runs on the strip and each patch's inner w x w
-        is its window. When the patches hold at least as many positions as
-        the map (n(w+2)² >= h·w), the whole map is computed and cropped.
-        Call it in eval mode: training-mode norms would take their
-        statistics over the strip.
-        """
-        u1 = self.backbone.fine_input(self.u2, self.f1)
-        n, (_, h, wd), p = len(centers), self.shape, w + 2
-        if n * p * p >= h * wd:
-            fine = self.backbone.fine_features(u1)
-            return T.crop_windows(Tensor(fine.data[0]), centers, w)
-        padded = Tensor(np.pad(u1.data[0], ((0, 0), (1, 1), (1, 1))))
-        patches = T.crop_windows(padded, np.asarray(centers) + 1, p).data   # [n, C, p, p]
-        strip = patches.transpose(1, 2, 0, 3).reshape(1, -1, p, n * p)
-        out = self.backbone.fine_features(Tensor(strip)).data[0]            # [D, p, n*p]
-        return Tensor(out.reshape(-1, p, n, p)[:, 1:-1, :, 1:-1].transpose(2, 0, 1, 3))
+        return coarse, self.fine_features(u2, f1)
 
 
 def check_image(image, name="image"):

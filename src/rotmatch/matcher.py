@@ -348,20 +348,14 @@ class FineMatcher(Module):
         return keep, centers_a[keep], centers_b[keep], points_a
 
     def offsets(self, fine_a, fine_b, centers_a, centers_b):
-        """Subpixel offsets (fine cells) for in-bounds windows.
-
-        Each of fine_a, fine_b is a [C, H, W] fine map Tensor, whose windows
-        are cropped (differentiable; training), or a `backbone.FineFeatures`,
-        which computes only the windows (eval). The two give the same window
-        bits in float32.
+        """Differentiable subpixel offsets (fine cells) for in-bounds windows.
 
         Returns (dx, dy, heat) Tensors over the given centers; callers must
         have filtered out-of-bounds windows already.
         """
         w = FINE_WINDOW
-        wa, wb = (T.crop_windows(fine, centers, w) if isinstance(fine, Tensor)
-                  else fine.crop(centers, w)          # [n, C, w, w]
-                  for fine, centers in ((fine_a, centers_a), (fine_b, centers_b)))
+        wa = T.crop_windows(fine_a, centers_a, w)   # [n, C, w, w]
+        wb = T.crop_windows(fine_b, centers_b, w)
         n = wa.shape[0]
         ta = T.transpose(T.reshape(wa, (n, self.fine_dim, w * w)), (0, 2, 1))
         tb = T.transpose(T.reshape(wb, (n, self.fine_dim, w * w)), (0, 2, 1))
@@ -373,17 +367,15 @@ class FineMatcher(Module):
         heat = T.softmax(T.reshape(scores, (n, w * w)), axis=-1)
         r = w // 2
         grid = np.arange(w * w)
-        col_off = Tensor((grid % w - r).astype(wa.dtype).reshape(w * w, 1))
-        row_off = Tensor((grid // w - r).astype(wa.dtype).reshape(w * w, 1))
+        col_off = Tensor((grid % w - r).astype(fine_a.dtype).reshape(w * w, 1))
+        row_off = Tensor((grid // w - r).astype(fine_a.dtype).reshape(w * w, 1))
         dx = T.reshape(heat @ col_off, (n,))
         dy = T.reshape(heat @ row_off, (n,))
         return dx, dy, heat
 
     def refine(self, fine_a, fine_b, match_set):
         """Subpixel matches for a CoarseMatchSet; drops windows that leave the
-        fine maps (see `windows`) and reports how many were dropped. fine_a
-        and fine_b are fine maps or `FineFeatures`, as in `offsets`, which
-        runs only when a window is kept."""
+        fine maps (see `windows`) and reports how many were dropped."""
         keep, centers_a, centers_b, points_a = self.windows(
             match_set, fine_a.shape[1:], fine_b.shape[1:])
         dropped = int((~keep).sum())

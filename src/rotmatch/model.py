@@ -5,7 +5,7 @@ single-file checkpoint save/load (the config text sits in the manifest).
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, FineFeatures, check_image
+from .backbone import Backbone, check_image
 from .checkpoint import checkpoint_config, load_checkpoint, save_checkpoint
 from .config import load_config
 from .matcher import CoarseMatcher, FineMatcher
@@ -34,12 +34,13 @@ class MatcherModel(Module):
         mode.
 
         Each image's backbone trunk (`Backbone.__call__`) gives its coarse
-        features, which are
-        matched; the fine features are then computed only for the windows
-        the fine stage keeps (`backbone.FineFeatures`), and not at all when
-        it keeps none. From `tensor.LANE_PIXELS` pixels on, each image gets
-        its own trunk pass (not one batched pass), in its own
-        `tensor.fork_join` lane.
+        features, which are matched. The fine branch
+        (`Backbone.fine_features`) then runs on the whole maps only if the
+        fine stage keeps a window, and not at all if it keeps none; `refine`
+        runs in both cases and reports the dropped windows. Below
+        `tensor.LANE_PIXELS` pixels both images go through one batched pass;
+        from there each image gets its own trunk and fine-branch passes, in
+        its own `tensor.fork_join` lane.
 
         Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows).
         """
@@ -51,14 +52,19 @@ class MatcherModel(Module):
         with self.mode(False):
             imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
             if imgs[0, 0].size < T.LANE_PIXELS:
-                batch = self.backbone(Tensor(imgs))
-                passes = [[Tensor(v.data[i:i + 1]) for v in batch] for i in range(2)]
+                inputs = [Tensor(imgs)]
             else:
-                passes = T.fork_join([lambda x=x: self.backbone(Tensor(x[None])) for x in imgs])
-            (coarse_a, *maps_a), (coarse_b, *maps_b) = passes
-            mset = self.coarse.match(Tensor(coarse_a.data[0]), Tensor(coarse_b.data[0]))
-            matches, dropped = self.fine.refine(FineFeatures(self.backbone, *maps_a),
-                                                FineFeatures(self.backbone, *maps_b), mset)
+                inputs = [Tensor(x[None]) for x in imgs]
+            trunks = T.fork_join([lambda x=x: self.backbone(x) for x in inputs])
+            coarse = [c for t in trunks for c in t[0].data]
+            mset = self.coarse.match(Tensor(coarse[0]), Tensor(coarse[1]))
+            fine_hw = trunks[0][2].shape[2:]
+            if self.fine.windows(mset, fine_hw, fine_hw)[0].any():
+                fine = [f for out in T.fork_join([lambda t=t: self.backbone.fine_features(*t[1:])
+                                                  for t in trunks]) for f in out.data]
+            else:   # refine reads only the maps' size: give it maps with no channel
+                fine = [np.empty((0,) + fine_hw, np.float32)] * 2
+            matches, dropped = self.fine.refine(Tensor(fine[0]), Tensor(fine[1]), mset)
         return mset, matches, dropped
 
 

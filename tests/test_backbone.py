@@ -7,10 +7,9 @@ import pytest
 
 import rotmatch
 from rotmatch import tensor as T
-from rotmatch.backbone import Backbone, BackboneConfig, FineFeatures, extract
-from rotmatch.matcher import FINE_WINDOW
+from rotmatch.backbone import Backbone, BackboneConfig, extract
 from rotmatch.nn import param_count
-from rotmatch.tensor import Tensor, crop_windows
+from rotmatch.tensor import Tensor
 
 
 def textured_image(rng, h, w):
@@ -367,67 +366,10 @@ def _calibrated_matcher(variant, size, dtype=np.float32, theta_c=0.2):
     return model.eval(), pair
 
 
-def _window_cases(rng, h, w):
-    """Centre sets on an h x w fine map: a window at each corner, random
-    sets of 1 to 67 windows, and sets just below and at the size from which
-    `FineFeatures.crop` computes the whole map."""
-    r = FINE_WINDOW // 2
-    corners = np.array([[r, r], [r, w - 1 - r], [h - 1 - r, r], [h - 1 - r, w - 1 - r]])
-    limit = -(-h * w // (FINE_WINDOW + 2) ** 2)
-    cases = [corners[i:i + 1] for i in range(4)] + [corners]
-    for n in (1, 2, 10, 67, limit - 1, limit):
-        c = np.stack([rng.integers(r, h - r, n), rng.integers(r, w - r, n)], axis=1)
-        cases.append(np.concatenate([corners, c]) if n > 4 else c)
-    return cases
-
-
-class TestFineFeatures:
-    """Windows of `FineFeatures`, which `match_pair` computes, against crops
-    of the whole fine map, which `Backbone.features` computes."""
-
-    @staticmethod
-    def _pairs(model, x, image):
-        bb = model.backbone
-        _, fine = bb.features(Tensor(x))
-        _, u2, f1 = bb(Tensor(x))
-        lazy = FineFeatures(bb, Tensor(u2.data[image:image + 1]),
-                            Tensor(f1.data[image:image + 1]))
-        full = Tensor(fine.data[image])
-        assert lazy.shape == full.shape
-        for centers in _window_cases(np.random.default_rng(image), *full.shape[1:]):
-            yield (lazy.crop(centers, FINE_WINDOW).data,
-                   crop_windows(full, centers, FINE_WINDOW).data)
-
-    @pytest.mark.parametrize("variant", ["plain", "c4star", "c8star"])
-    def test_bitwise_equal_to_full_map_crops(self, variant):
-        model, pair = _calibrated_matcher(variant, (64, 64))
-        for x, images in ((pair, (0, 1)), (pair[1:], (0,))):   # batch 2, batch 1
-            for image in images:
-                for got, want in self._pairs(model, x, image):
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_float64_model_within_rounding(self):
-        # float64 GEMMs round the last columns of a run differently, so a
-        # strip's windows and the whole map's agree to rounding only
-        model, pair = _calibrated_matcher("c4star", (64, 64), dtype=np.float64)
-        for image in (0, 1):
-            for got, want in self._pairs(model, pair, image):
-                assert got.dtype == np.float64
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_whole_map_from_the_count_of_positions(self, monkeypatch):
-        model, pair = _calibrated_matcher("c4star", (64, 64))
-        bb = model.backbone
-        _, u2, f1 = bb(Tensor(pair[:1]))
-        lazy, shapes = FineFeatures(bb, u2, f1), []
-        fine_features = Backbone.fine_features
-        monkeypatch.setattr(Backbone, "fine_features",
-                            lambda self, u1: shapes.append(u1.shape) or fine_features(self, u1))
-        p = FINE_WINDOW + 2
-        limit = -(-32 * 32 // p ** 2)   # 21 patches of 7 x 7 hold 1029 >= 32 * 32 positions
-        for n in (limit - 1, limit):
-            lazy.crop(np.full((n, 2), 16), FINE_WINDOW)
-        assert shapes == [(1, 32, p, (limit - 1) * p), (1, 32, 32, 32)]
+class TestFineBranchOnDemand:
+    """`match_pair` runs the fine branch only when the fine stage keeps a
+    window, and then gives the windows of the whole fine maps that
+    `Backbone.features` computes."""
 
     def test_no_window_runs_no_fine_branch(self, monkeypatch):
         # at theta_c = 1 no coarse confidence passes, so no window is kept
@@ -442,24 +384,50 @@ class TestFineFeatures:
         assert bb.stem in called
         assert not {id(bb.lateral1), id(bb.smooth1), id(bb.fine_head)} & set(map(id, called))
 
-    @pytest.mark.parametrize("size", [(64, 64), (160, 160)])   # batched, then laned
-    def test_match_pair_equals_refine_on_full_maps(self, size, monkeypatch):
-        # a fresh model matches next to nothing, so the coarse stage is given
-        # 40 random cell pairs, some of whose windows leave the fine map
+    def test_only_dropped_windows_run_no_fine_branch(self, monkeypatch):
+        # matches whose windows all leave the fine map: the last coarse row
         from rotmatch.matcher import CoarseMatcher, CoarseMatchSet
-        model, pair = _calibrated_matcher("c4star", size)
-        grid = (size[0] // 8, size[1] // 8)
+        model, pair = _calibrated_matcher("c4star", (64, 64))
+        idx = np.arange(56, 64)
+        mset = CoarseMatchSet(idx_a=idx, idx_b=idx[::-1], confidence=np.ones(8),
+                              grid_a=(8, 8), grid_b=(8, 8))
+        monkeypatch.setattr(CoarseMatcher, "match", lambda self, a, b: mset)
+        monkeypatch.setattr(Backbone, "fine_features", lambda self, u2, f1: pytest.fail())
+        got, matches, dropped = model.match_pair(*pair)
+        assert got is mset and matches == [] and dropped == 8
+
+    @pytest.mark.parametrize("variant,size,dtype", [
+        ("plain", (64, 64), np.float32), ("c4star", (64, 64), np.float32),
+        ("c8star", (64, 64), np.float32), ("c4star", (64, 64), np.float64),
+        ("c4star", (160, 160), np.float32)])   # batched, then laned
+    def test_match_pair_equals_refine_on_full_maps(self, variant, size, dtype, monkeypatch):
+        # a fresh model matches next to nothing, so the coarse stage is given
+        # the four corner cells and 36 random cell pairs: the top-left
+        # window touches two borders, the windows of the last coarse row
+        # and column leave the fine map
+        from rotmatch.matcher import CoarseMatcher, CoarseMatchSet
+        model, pair = _calibrated_matcher(variant, size, dtype)
+        gh, gw = grid = (size[0] // 8, size[1] // 8)
         rng = np.random.default_rng(2)
-        idx_a, idx_b = (rng.choice(grid[0] * grid[1], 40, replace=False) for _ in "ab")
+        corners = np.array([0, gw - 1, (gh - 1) * gw, gh * gw - 1])
+        idx_a, idx_b = (np.concatenate([corners, rng.choice(np.arange(gw, (gh - 1) * gw), 36,
+                                                            replace=False)]) for _ in "ab")
         mset = CoarseMatchSet(idx_a=idx_a, idx_b=idx_b, confidence=rng.random(40),
                               grid_a=grid, grid_b=grid)
         monkeypatch.setattr(CoarseMatcher, "match", lambda self, a, b: mset)
+        batches, fine_features = [], Backbone.fine_features
+        monkeypatch.setattr(Backbone, "fine_features", lambda self, u2, f1: (
+            batches.append(u2.shape[0]) or fine_features(self, u2, f1)))
         _, matches, dropped = model.match_pair(*pair)
         assert len(matches) > 20 and dropped > 0
+        assert matches[0].point_a == (4.0, 4.0)
+        x = pair.astype(dtype)
         if size[0] * size[1] >= T.LANE_PIXELS:   # one backbone pass per image
-            fine_a, fine_b = (model.features(Tensor(x[None]))[1].data[0] for x in pair)
+            assert batches[:2] == [1, 1]
+            fine_a, fine_b = (model.features(Tensor(im[None]))[1].data[0] for im in x)
         else:
-            fine_a, fine_b = model.features(Tensor(pair))[1].data
+            assert batches[:1] == [2]
+            fine_a, fine_b = model.features(Tensor(x))[1].data
         want = model.fine.refine(Tensor(fine_a), Tensor(fine_b), mset)
         assert repr((matches, dropped)) == repr(want)
 

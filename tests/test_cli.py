@@ -174,6 +174,12 @@ class TestEquivcheckCommand:
             main(["equivcheck", "--variant", "c4star", "--trials", trials])
         assert "PASS" not in capsys.readouterr().out
 
+    def test_plain_without_trials_runs_negative_control(self, capsys):
+        rc = main(["equivcheck", "--variant", "plain", "--trials", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL" in out and "negative control" in out
+
     def test_variant_must_match_checkpoint(self, tmp_path):
         from rotmatch.config import Config
         from rotmatch.model import MatcherModel, save_model

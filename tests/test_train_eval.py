@@ -436,10 +436,15 @@ class TestEquivarianceCheck:
         assert all(np.array_equal(after[k], before[k]) for k in before)
         assert model.training
 
+    @pytest.mark.parametrize("variant", ["c4star", "c4", "c8star"])
     @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_rejected(self, trials):
-        with pytest.raises(ValueError, match=f"at least one trial, got {trials}"):
-            equivariance_check("c4star", trials=trials)
+    def test_no_trials_rejected(self, variant, trials):
+        with pytest.raises(ValueError, match=f"{variant} needs at least one trial, got {trials}"):
+            equivariance_check(variant, trials=trials)
+
+    def test_plain_runs_no_trials(self):
+        # plain has no layer suite: only the backbone negative control runs
+        assert equivariance_check("plain", trials=0) == equivariance_check("plain", trials=5)
 
     def test_c8star_reports_45deg(self):
         passed, lines = equivariance_check("c8star", trials=10)
