@@ -10,8 +10,7 @@ from .geometry import (EstimationFailure, Homography, MetricsReport, auc,
 from .groups import (CyclicGroup, FieldType, GroupElement, act_on_field,
                      regular_permutation, rotate_image, rotate_kernel)
 from .matcher import (CoarseMatcher, CoarseMatchSet, FineMatch, FineMatcher,
-                      MatcherConfig, add_positional_encoding, dual_softmax,
-                      mutual_matches)
+                      MatcherConfig, add_positional_encoding, mutual_matches)
 from .model import MatcherModel, load_model, save_model
 from .nn import Linear, Module, param_count
 from .steerable import EquivConv, InnerBatchNorm, calibrate_norm_stats

@@ -39,7 +39,8 @@ def main(argv=None):
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--mod", default="none", help="none | r<angle> | h<scale>")
+    p.add_argument("--mod", type=_modification, default="none",
+                   help="none | r<angle> | h<scale>")
     p.add_argument("--report", required=True, help="output prefix (.csv, .txt)")
 
     p = sub.add_parser("match", help="match two images and write an overlay")
@@ -88,21 +89,35 @@ def _size(text):
     return size
 
 
+def _modification(text):
+    """The argparse type of `--mod`: a spec that `parse_modification` takes."""
+    from .datasets import parse_modification
+
+    try:
+        parse_modification(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return text
+
+
 def _cmd_generate(args):
-    from .datasets import DatasetManifest, save_sequence, synth_dataset
+    from .datasets import (DatasetManifest, parse_modification, save_sequence,
+                           synth_dataset)
 
     h, w = args.size
-    try:
-        manifest = synth_dataset(args.out, args.scenes, h, w, seed=args.seed,
-                                 jitter=not args.no_jitter, split=args.split)
-    except ValueError as e:
-        raise SystemExit(f"generate: {e}")
-    print(f"wrote {args.scenes} scenes to {args.out}")
     tags = []
     if args.rotate_a is not None:
         tags.append(f"r{args.rotate_a:g}")
     if args.warp_s is not None:
         tags.append(f"h{args.warp_s:g}")
+    try:
+        for tag in tags:   # a bad copy fails before the base dataset is written
+            parse_modification(tag)
+        manifest = synth_dataset(args.out, args.scenes, h, w, seed=args.seed,
+                                 jitter=not args.no_jitter, split=args.split)
+    except ValueError as e:
+        raise SystemExit(f"generate: {e}")
+    print(f"wrote {args.scenes} scenes to {args.out}")
     for tag in tags:
         out_dir = f"{args.out.rstrip('/')}-{tag}"
         os.makedirs(out_dir, exist_ok=True)
@@ -122,7 +137,10 @@ def _cmd_train(args):
     from .config import load_config
     from .train import train
 
-    config = load_config(args.config, overrides=args.set)
+    try:
+        config = load_config(args.config, overrides=args.set)
+    except ValueError as e:
+        raise SystemExit(f"train: {e}")
 
     def progress(entry):
         print(" ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"

@@ -120,7 +120,7 @@ def load_config(path=None, overrides=None):
         if sec_name not in secs:
             raise ValueError(f"unknown config section {sec_name!r}")
         sec = secs[sec_name]
-        if not hasattr(sec, field_name):
+        if field_name not in {f.name for f in fields(sec)}:
             raise ValueError(f"unknown config key {key!r}")
         setattr(sec, field_name, _coerce(key, getattr(sec, field_name), parse_value(val)))
     return cfg.validate()

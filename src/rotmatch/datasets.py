@@ -7,6 +7,7 @@ Directory layout: `<root>/<scene>/{1..6}.ppm`, `<root>/<scene>/H_1_{2..6}`
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -196,8 +197,8 @@ def corner_warp_homography(h, w, offsets):
 def make_warped(seq, s, seed, max_retries=8):
     """Corner-warp each B-image outward by offsets of at most (s*h, s*w):
     B' is the skewed zoom-in B'(q) = B(W^-1 q), and H' = W @ H."""
-    if s <= 0:
-        raise ValueError("warp scale must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError("warp scale must be finite and positive")
     new_bs, new_hs, new_masks, offs_rec = [], [], [], []
     for k, (img, hom, mask) in enumerate(zip(seq.images_b, seq.homographies,
                                              seq.valid_masks)):
@@ -225,15 +226,34 @@ def make_warped(seq, s, seed, max_retries=8):
                     valid_masks=new_masks)
 
 
-def apply_modification(seq, mod, seed):
-    """Parse a modification spec string: none | r{angle} | h{scale}."""
+def parse_modification(mod):
+    """The (kind, amount) of a modification spec: (None, None) for none (or
+    None or ""), ("r", angle) for r<angle> with the angle in (0, 90], and
+    ("h", scale) for h<scale> with a finite positive scale. Any other spec
+    raises a ValueError that names it."""
     if mod in (None, "", "none"):
+        return None, None
+    kind = mod[:1]
+    if kind not in ("r", "h"):
+        raise ValueError(f"unknown modification {mod!r}; expected none, r<angle>, h<scale>")
+    try:
+        amount = float(mod[1:])
+    except ValueError:
+        raise ValueError(f"modification {mod!r}: {mod[1:]!r} is not a number") from None
+    if kind == "r" and not 0.0 < amount <= 90.0:
+        raise ValueError(f"modification {mod!r}: the rotation angle must lie in (0, 90]")
+    if kind == "h" and not 0.0 < amount < math.inf:
+        raise ValueError(f"modification {mod!r}: the warp scale must be finite and positive")
+    return kind, amount
+
+
+def apply_modification(seq, mod, seed):
+    """`seq` with the modification spec `mod` (see `parse_modification`)
+    applied under `seed`."""
+    kind, amount = parse_modification(mod)
+    if kind is None:
         return seq
-    if mod.startswith("r"):
-        return make_rotated(seq, float(mod[1:]), seed)
-    if mod.startswith("h"):
-        return make_warped(seq, float(mod[1:]), seed)
-    raise ValueError(f"unknown modification {mod!r}; expected none, r<angle>, h<scale>")
+    return (make_rotated if kind == "r" else make_warped)(seq, amount, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +418,8 @@ def synth_dataset(root, n_scenes, h, w, seed, params=None, jitter=True,
 
 def load_manifest(root):
     """The DatasetManifest in `<root>/manifest.json`: integers `seed`, `h`
-    and `w`, and a list of `scenes`."""
+    and `w`, and a list of `scenes`, each an object with a string `name` and
+    a string `split`."""
     path = os.path.join(root, "manifest.json")
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
@@ -409,6 +430,11 @@ def load_manifest(root):
             raise ValueError(f"{path}: manifest has no {key!r}")
         if type(data[key]) is not kind:
             raise ValueError(f"{path}: manifest {key!r} is {data[key]!r}, not {kind.__name__}")
+    for scene in data["scenes"]:
+        if not (isinstance(scene, dict) and isinstance(scene.get("name"), str)
+                and isinstance(scene.get("split"), str)):
+            raise ValueError(f"{path}: manifest scene {scene!r} is not an object with a "
+                             f"string 'name' and a string 'split'")
     return DatasetManifest(root=root, seed=data["seed"], h=data["h"], w=data["w"],
                            scenes=data["scenes"])
 

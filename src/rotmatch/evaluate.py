@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import load_manifest, splitmix64
+from .datasets import load_manifest, parse_modification, splitmix64
 from .geometry import (EstimationFailure, MetricsReport, PairStats, corner_error, mma,
                        ransac_homography)
 from .imageio import write_ppm
@@ -80,6 +80,7 @@ def evaluate(model, dataset_root, modification, config, checkpoint_id="fresh"):
     """Evaluate a model on a dataset with an optional modification
     (none | r<angle> | h<scale>); returns an EvalRun."""
     t0 = time.time()
+    parse_modification(modification)   # a bad spec fails before any work
     manifest = load_manifest(dataset_root)
     sequences = [manifest.load(name, modification) for name in manifest.sequence_names()]
     report = evaluate_pairs(model, sequences, config)

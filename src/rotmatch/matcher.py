@@ -79,69 +79,36 @@ def add_positional_encoding(coarse):
     return coarse + pe
 
 
-def dual_softmax(scores):
-    """Confidence matrix: elementwise product of row-wise and column-wise
-    softmaxes of the similarity matrix. Not differentiable (training uses
-    `log_dual_softmax`), so it works in place on two scratch arrays."""
-    s = (scores if isinstance(scores, Tensor) else Tensor(scores)).data
-    rows = T.softmax_into(s, -1, np.empty_like(s))
-    rows *= T.softmax_into(s, -2, np.empty_like(s))
-    return Tensor(rows)
-
-
-def log_dual_softmax(scores):
-    """log of `dual_softmax`, computed stably for training losses."""
-    s = scores if isinstance(scores, Tensor) else Tensor(scores)
-    return T.log_softmax(s, axis=-1) + T.log_softmax(s, axis=-2)
-
-
 def _block_scores(a, bt, rows):
     """Rows `rows` of the scores a @ bt; the caller may overwrite them."""
     return a[rows] @ bt
 
 
-def mutual_matches(a, b, theta_c):
-    """Mutual row/column argmax pairs of the dual-softmax confidence of the
-    scores s = a @ bᵀ, with confidence above the threshold.
+def _row_blocks(t, s, itemsize):
+    """Slices of rows of a t x s score array, each at most SCORE_BLOCK_BYTES."""
+    n = max(1, SCORE_BLOCK_BYTES // (s * itemsize))
+    return [slice(i, min(i + n, t)) for i in range(0, t, n)]
 
-    One pass over blocks of rows of s, with no t x s array. Each block is
-    exped unshifted (so |s| has a bound) and summed over its rows and
-    columns, giving the logsumexps r and c; its entries whose row softmax
-    exceeds theta_c / 2 become candidates. The log-confidence L = 2s - r - c
-    is then computed in float64 for the candidates only, and a candidate is
-    kept if it is the first maximum of L among the candidates of its row and
-    of its column, with exp(L) > theta_c. Each block is one `tensor.fork_join`
-    call, which returns its sums and candidates in block order, and c is
-    summed in that order, so no bit depends on the lanes.
 
-    This is exact. The confidence is the row softmax times a column softmax
-    of at most 1, so a kept pair has row softmax > theta_c, and so has every
-    entry that ties or beats it in its row or column, its L being as large.
-    The factor 2 absorbs float32 rounding in the filter. A row's softmax
-    sums to 1, so it has fewer than 2 / theta_c candidates (at most 9 at
-    0.2); at theta_c = 0 all t * s scores are candidates.
-
-    Args:
-        a: [t, d] array, b: [s, d] array.
-
-    Returns:
-        (idx_a, idx_b, confidence) of the kept pairs, in row order; empty
-        when either side has no rows.
-    """
-    dt = np.result_type(a, b, np.float32)
-    a, b = np.asarray(a, dt), np.asarray(b, dt)
+def _sweep(a, b, theta_c):
+    """One pass over blocks of rows of the scores s = a @ bᵀ of [t, d] and
+    [s, d] arrays of one dtype, with no t x s array. Each block is exped
+    unshifted (so |s| has a bound) and summed over its rows and columns,
+    giving the float64 logsumexps r and c; its entries whose row softmax
+    exceeds theta_c / 2 become candidates (none at theta_c = 2). Each block
+    is one `tensor.fork_join` call, which returns its sums and candidates in
+    block order, and c is summed in that order, so no bit depends on the
+    lanes. Returns (r, c, ia, ib), with the candidates in row order."""
+    dt = a.dtype
     t, s = a.shape[0], b.shape[0]
-    if not t or not s:
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dt)
     # |s_ij| <= |a_i| |b_j|, and every sum of max(t, s) exps must stay normal;
     # NaN features pass, and match nothing (a diverged training step)
     reach = np.linalg.norm(a, axis=1).max() * np.linalg.norm(b, axis=1).max()
     bound = min(-np.log(np.finfo(dt).tiny), np.log(np.finfo(dt).max / max(t, s)))
     if reach > bound:
-        raise ValueError(f"mutual_matches: scores reach up to {reach:.4g} in magnitude; "
+        raise ValueError(f"coarse scores reach up to {reach:.4g} in magnitude; "
                          f"{dt} exp sums over {max(t, s)} tokens need at most {bound:.4g}")
     bt = np.ascontiguousarray(b.T)
-    n = max(1, SCORE_BLOCK_BYTES // (s * bt.itemsize))
 
     def sweep(rows):   # one block: its row sums, column sums and candidates
         e = _block_scores(a, bt, rows)
@@ -151,11 +118,36 @@ def mutual_matches(a, b, theta_c):
         cand = rows.start * s + np.flatnonzero(e > (theta_c / 2) * sums[:, None])
         return sums, np.ones(e.shape[0], dt) @ e, cand
 
-    rs, cols, flat = zip(*T.fork_join([lambda i=i: sweep(slice(i, min(i + n, t)))
-                                       for i in range(0, t, n)]))
+    rs, cols, flat = zip(*T.fork_join([lambda rows=rows: sweep(rows)
+                                       for rows in _row_blocks(t, s, bt.itemsize)]))
     r = np.log(np.concatenate(rs, dtype=np.float64))
     c = np.log(sum(cols, np.zeros(s)))   # in block order, whichever lane made each
-    ia, ib = np.divmod(np.concatenate(flat), s)
+    return (r, c) + np.divmod(np.concatenate(flat), s)
+
+
+def mutual_matches(a, b, theta_c):
+    """Mutual row/column argmax pairs of the dual-softmax confidence of the
+    scores s = a @ bᵀ ([t, d] and [s, d] arrays), with confidence above the
+    threshold, as (idx_a, idx_b, confidence) in row order.
+
+    One `_sweep` gives the logsumexps r and c and the candidates, the
+    entries whose row softmax exceeds theta_c / 2. The log-confidence
+    L = 2s - r - c is then computed in float64 for the candidates only, and
+    a candidate is kept if it is the first maximum of L among the candidates
+    of its row and of its column, with exp(L) > theta_c.
+
+    This is exact. The confidence is the row softmax times a column softmax
+    of at most 1, so a kept pair has row softmax > theta_c, and so has every
+    entry that ties or beats it in its row or column, its L being as large.
+    The factor 2 absorbs float32 rounding in the filter. A row's softmax
+    sums to 1, so it has fewer than 2 / theta_c candidates (at most 9 at
+    0.2); at theta_c = 0 all t * s scores are candidates.
+    """
+    dt = np.result_type(a, b, np.float32)
+    a, b = np.asarray(a, dt), np.asarray(b, dt)
+    if not a.shape[0] or not b.shape[0]:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dt)
+    r, c, ia, ib = _sweep(a, b, theta_c)
     L = 2 * np.einsum("ij,ij->i", a[ia], b[ib], dtype=np.float64) - r[ia] - c[ib]
     conf = np.exp(L)
     keep = conf > theta_c
@@ -163,6 +155,35 @@ def mutual_matches(a, b, theta_c):
         order = np.lexsort((other, -L, own))
         keep[order[np.diff(own[order], prepend=-1) == 0]] = False
     return ia[keep], ib[keep], conf[keep].astype(dt)
+
+
+def coarse_nll(fa, fb, rows, cols):
+    """-(1/n) Σ (2 s_ij - r_i - c_j) over the n pairs (rows, cols): the mean
+    negative log dual-softmax confidence, s = fa @ fbᵀ / TEMPERATURE on
+    [t, d] and [s, d] Tensors. Its forward pass is one `_sweep`. Its backward
+    pass recomputes each block of s and adds its GEMMs into the gradients:
+    dL/ds_kl = (a_k e^(s_kl - r_k) + b_l e^(s_kl - c_l) - 2·[kl is a pair]) / n,
+    with a_k the pairs in row k and b_l those in column l."""
+    a, b, n = fa.data * (1.0 / TEMPERATURE), fb.data, len(rows)
+    r, c, _, _ = _sweep(a, b, 2.0)
+    s_p = np.einsum("ij,ij->i", a[rows], b[cols], dtype=np.float64)
+    out = Tensor(np.asarray(((r[rows] - s_p) + (c[cols] - s_p)).sum() / n, a.dtype))
+
+    def bwd(g):
+        bt, da, db = np.ascontiguousarray(b.T), np.empty_like(a), np.zeros_like(b)
+        ra, ca = r.astype(a.dtype)[:, None], c.astype(a.dtype)
+        per_row = np.bincount(rows, minlength=len(a)).astype(a.dtype)[:, None]
+        per_col = np.bincount(cols, minlength=len(b)).astype(a.dtype)
+        for blk in _row_blocks(len(a), len(b), bt.itemsize):
+            e = _block_scores(a, bt, blk)
+            e = np.exp(e - ra[blk]) * per_row[blk] + np.exp(e - ca) * per_col
+            da[blk] = e @ b
+            db += e.T @ a[blk]
+        np.add.at(da, rows, -2 * b[cols])
+        np.add.at(db, cols, -2 * a[rows])
+        return da * (g / (n * TEMPERATURE)), db * (g / n)
+
+    return T._record(out, (fa, fb), bwd)
 
 
 def l2_normalize(x, eps=1e-8):
@@ -279,17 +300,18 @@ class CoarseMatcher(Module):
                                 _tokens(add_positional_encoding(feat_b)))
         return l2_normalize(fa[0]), l2_normalize(fb[0])
 
-    def similarity(self, fa, fb):
-        """Temperature-scaled cosine similarity matrix of two `embed` outputs.
-        Differentiable; training takes its log dual softmax. The scale goes
-        on the t x d side, as in `select`, so only one t x s array is built."""
-        return (fa * (1.0 / TEMPERATURE)) @ T.transpose(fb, (1, 0))
-
     def confidence(self, feat_a, feat_b):
         """Full coarse pipeline for one pair of [d, hc, wc] maps -> (P, grids),
-        with the whole t x s confidence matrix P."""
+        with the whole t x s confidence matrix P = exp(2s - r - c), built in
+        place in one array from the logsumexps of `_sweep`."""
         grids = (feat_a.shape[1:], feat_b.shape[1:])
-        return dual_softmax(self.similarity(*self.embed(feat_a, feat_b))), grids
+        fa, fb = self.embed(feat_a, feat_b)
+        a = fa.data * (1.0 / TEMPERATURE)
+        r, c, _, _ = _sweep(a, fb.data, 2.0)
+        p = (2 * a) @ fb.data.T   # 2s exactly
+        p -= r[:, None]
+        p -= c
+        return Tensor(np.exp(p, out=p)), grids
 
     def match(self, feat_a, feat_b):
         fa, fb = self.embed(feat_a, feat_b)

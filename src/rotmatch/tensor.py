@@ -406,35 +406,15 @@ def _max_keepdims(x, axis):
     return m
 
 
-def softmax_into(x, axis, out):
-    """Softmax of array `x` along `axis`, written to `out` (which may be `x`)
-    with no other full-size temporary. Plain numpy, not differentiable."""
-    np.subtract(x, _max_keepdims(x, axis), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
-
-
 def softmax(a, axis=-1):
-    s = softmax_into(a.data, axis, np.empty_like(a.data))
+    s = np.subtract(a.data, _max_keepdims(a.data, axis))
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
     out = Tensor(s)
 
     def bwd(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return ((g - dot) * s,)
-
-    return _record(out, (a,), bwd)
-
-
-def log_softmax(a, axis=-1):
-    m = a.data.max(axis=axis, keepdims=True)
-    sh = a.data - m
-    lse = np.log(np.exp(sh).sum(axis=axis, keepdims=True))
-    ls = sh - lse
-    out = Tensor(ls)
-
-    def bwd(g):
-        return (g - np.exp(ls) * g.sum(axis=axis, keepdims=True),)
 
     return _record(out, (a,), bwd)
 

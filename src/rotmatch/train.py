@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import gt_coarse_assignment, load_manifest
 from .backbone import FINE_STRIDE
-from .matcher import FINE_WINDOW, log_dual_softmax
+from .matcher import FINE_WINDOW, coarse_nll
 from .model import MatcherModel, save_model
 from .tensor import GradientTape, Tensor, backward
 
@@ -72,8 +72,7 @@ def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
         return None, None, stats
 
     fa, fb = model.coarse.embed(coarse_a, coarse_b)
-    s = model.coarse.similarity(fa, fb)
-    nll = T.mean(T.index(log_dual_softmax(s), (rows, assign[rows]))) * -1.0
+    nll = coarse_nll(fa, fb, rows, assign[rows])
 
     # fine supervision on mutual matches that hit the ground-truth cell
     mset = model.coarse.select(fa.data, fb.data, coarse_a.shape[1:], coarse_b.shape[1:])

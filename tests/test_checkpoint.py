@@ -180,6 +180,13 @@ class TestConfig:
             with pytest.raises(ValueError, match="unknown config key"):
                 load_config(None, overrides=[override])
 
+    @pytest.mark.parametrize("override", ["backbone.stage_widths=[1,2]", "matcher.validate=[1]",
+                                          'backbone.__doc__="x"', "train.__init__=1"])
+    def test_non_field_attribute_rejected(self, override):
+        # methods, properties and dunders are attributes of a section, not keys
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config(None, overrides=[override])
+
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             load_config(None, overrides=["train.steps=0"])

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ class TestGenerate:
             main(["generate", "--out", out, "--scenes", scenes, "--size", "32x32"])
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flag, value, tag, message", [
+        ("--warp-s", "nan", "hnan", "the warp scale must be finite and positive"),
+        ("--warp-s", "inf", "hinf", "the warp scale must be finite and positive"),
+        ("--rotate-a", "nan", "rnan", r"the rotation angle must lie in \(0, 90\]"),
+        ("--rotate-a", "0", "r0", r"the rotation angle must lie in \(0, 90\]"),
+    ])
+    def test_bad_copy_fails_before_writing(self, tmp_path, flag, value, tag, message):
+        out = str(tmp_path / "data")
+        with pytest.raises(SystemExit, match=f"generate: modification '{tag}': {message}"):
+            main(["generate", "--out", out, "--scenes", "1", "--size", "32x32", flag, value])
+        assert os.listdir(tmp_path) == []
+
     def test_generate_deterministic(self, tmp_path):
         a = str(tmp_path / "a")
         b = str(tmp_path / "b")
@@ -63,6 +76,30 @@ def test_size_needs_two_positive_integers(command, size, capsys):
     assert err.value.code == 2
     assert (f"argument --size: expected two positive integers as AxB, got {size!r}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("mod, message", [
+    ("r0", r"the rotation angle must lie in \(0, 90\]"), ("rabc", "'abc' is not a number"),
+    ("hnan", "the warp scale must be finite and positive"), ("x9", "unknown modification"),
+])
+def test_evaluate_bad_mod_exits_before_work(tmp_path, mod, message, capsys):
+    # the checkpoint and the dataset do not exist: the spec is checked first
+    report = str(tmp_path / "rep")
+    with pytest.raises(SystemExit) as err:
+        main(["evaluate", "--checkpoint", str(tmp_path / "none.rmckpt"),
+              "--dataset", str(tmp_path / "none"), "--mod", mod, "--report", report])
+    assert err.value.code == 2
+    assert re.search(f"argument --mod: .*{message}", capsys.readouterr().err)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("override", ["matcher.validate=[1]", "backbone.stage_widths=[1,2]",
+                                      "backbone.__doc__=x", "matcher.temperature=0.1"])
+def test_train_unknown_key_exits_before_work(tmp_path, override):
+    out = str(tmp_path / "run")
+    with pytest.raises(SystemExit, match=f"train: unknown config key '{override.split('=')[0]}'"):
+        main(["train", "--data", str(tmp_path / "none"), "--out", out, "--set", override])
+    assert os.listdir(tmp_path) == []
 
 
 class TestPrintConfig:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rotmatch.datasets import (apply_modification, corner_warp_homography,
+                               parse_modification,
                                gt_coarse_assignment, load_manifest,
                                load_sequence, make_rotated,
                                make_synthetic_sequence, make_warped, psnr,
@@ -323,6 +324,22 @@ class TestSynthDataset:
             load_manifest(str(root))
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("scene", [
+        1, ["scene_0000"], {"split": "synthetic"}, {"name": "scene_0000"},
+        {"name": 5, "split": "synthetic"}, {"name": "scene_0000", "split": None},
+    ])
+    def test_bad_scene_entry_names_file_and_entry(self, tmp_path, scene):
+        root = tmp_path / "d"
+        synth_dataset(str(root), 2, 16, 16, seed=27)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["scenes"][1] = scene
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="not an object with a string 'name' and a "
+                                             "string 'split'") as err:
+            load_manifest(str(root))
+        assert str(path) in str(err.value) and repr(scene) in str(err.value)
+
     def test_manifest_not_an_object(self, tmp_path):
         (tmp_path / "manifest.json").write_text("[1, 2]")
         with pytest.raises(ValueError, match="not a JSON object"):
@@ -337,6 +354,30 @@ class TestApplyModification:
         assert apply_modification(seq, "h0.3", 1).provenance[-1]["kind"] == "corner_warp"
         with pytest.raises(ValueError, match="unknown modification"):
             apply_modification(seq, "x9", 0)
+
+    @pytest.mark.parametrize("mod, message", [
+        ("rabc", "'abc' is not a number"), ("h", "'' is not a number"),
+        *((m, r"the rotation angle must lie in \(0, 90\]") for m in ("r0", "r91", "rnan", "rinf")),
+        *((m, "the warp scale must be finite and positive") for m in ("hnan", "hinf", "h-1", "h0")),
+    ])
+    def test_bad_amount_names_the_spec(self, mod, message):
+        seq = make_synthetic_sequence("s", 32, 32, seed=26, jitter=False)
+        with pytest.raises(ValueError, match=f"modification '{mod}': {message}"):
+            apply_modification(seq, mod, 0)
+        with pytest.raises(ValueError, match=f"modification '{mod}': {message}"):
+            parse_modification(mod)
+
+    def test_specs_parse_to_kind_and_amount(self):
+        assert parse_modification("none") == parse_modification(None) == (None, None)
+        assert parse_modification("r90") == ("r", 90.0)
+        assert parse_modification("h1e-1") == ("h", 0.1)
+
+    def test_evaluate_checks_the_spec_before_the_manifest(self, tmp_path):
+        # no manifest exists: a bad spec fails first, with its own message
+        from rotmatch.config import Config
+        from rotmatch.evaluate import evaluate
+        with pytest.raises(ValueError, match="modification 'hnan'"):
+            evaluate(None, str(tmp_path / "missing"), "hnan", Config.default())
 
 
 class TestGtCoarseAssignment:

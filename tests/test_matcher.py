@@ -12,18 +12,27 @@ from rotmatch.backbone import FINE_STRIDE, Backbone
 from rotmatch.config import Config
 from rotmatch.matcher import (FINE_WINDOW, CoarseMatcher, CoarseMatchSet,
                               FineMatcher, MatcherConfig, add_positional_encoding,
-                              dual_softmax, mutual_matches,
+                              coarse_nll, mutual_matches,
                               positional_encoding, write_match_file)
 from rotmatch.model import MatcherModel
 from rotmatch.steerable import calibrate_norm_stats
 from rotmatch.tensor import GradientTape, Tensor, backward
 
 
+def dual_softmax(scores):
+    """Float64 dense dual-softmax confidence of a score array: the product of
+    its row-wise and column-wise softmaxes."""
+    s = np.asarray(scores, np.float64)
+    rows = np.exp(s - s.max(axis=1, keepdims=True))
+    cols = np.exp(s - s.max(axis=0, keepdims=True))
+    return rows / rows.sum(axis=1, keepdims=True) * (cols / cols.sum(axis=0, keepdims=True))
+
+
 def dense_mutual(a, b, theta):
     """Float64 dense reference of `mutual_matches`: the whole dual-softmax
     confidence of a @ bᵀ, its row and column argmaxes (first index wins),
     and the mutual pairs above theta as (idx_a, idx_b, confidence)."""
-    conf = dual_softmax(np.asarray(a, np.float64) @ np.asarray(b, np.float64).T).data
+    conf = dual_softmax(np.asarray(a, np.float64) @ np.asarray(b, np.float64).T)
     row_best, col_best = conf.argmax(axis=1), conf.argmax(axis=0)
     rows = np.arange(conf.shape[0])
     ia = np.nonzero((col_best[row_best] == rows) & (conf[rows, row_best] > theta))[0]
@@ -131,7 +140,7 @@ class TestPositionalEncoding:
 class TestDualSoftmax:
     def test_hand_arithmetic(self):
         s = np.array([[2.0, 0.0], [0.0, 2.0]])
-        p = dual_softmax(s).data
+        p = dual_softmax(s)
         assert np.allclose(np.diag(p), 0.7760, atol=5e-4)
         assert np.allclose(p[0, 1], 0.0141, atol=5e-4)
         ia, ib, conf = mutual_matches(s, np.eye(2), 0.2)
@@ -145,7 +154,7 @@ class TestDualSoftmax:
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        p = dual_softmax(rng.normal(size=(5, 7)) * 3).data
+        p = dual_softmax(rng.normal(size=(5, 7)) * 3)
         assert (p > 0).all() and (p < 1).all()
 
     def test_row_softmax_sums_to_one(self):
@@ -167,7 +176,7 @@ class TestDualSoftmax:
         rows_shifted = T.softmax(Tensor(shifted), axis=-1).data
         assert np.allclose(rows, rows_shifted, atol=1e-6)
         # a global constant shift leaves the full dual-softmax unchanged
-        assert np.allclose(dual_softmax(s).data, dual_softmax(s + 3.25).data, atol=1e-6)
+        assert np.allclose(dual_softmax(s), dual_softmax(s + 3.25), atol=1e-6)
 
 
 class TestMutualMatches:
@@ -293,7 +302,7 @@ class TestMutualMatches:
         scores = a @ b.T
         row_soft = T.softmax(Tensor(scores), axis=-1).data
         assert ((row_soft[6:9] > 0.1).sum(axis=1) == 3).all()
-        assert scores[17].argmax() == 10 and dual_softmax(scores).data[17].argmax() == 11
+        assert scores[17].argmax() == 10 and dual_softmax(scores)[17].argmax() == 11
         monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
         for theta in (0.0, 0.01, 0.2, 0.5, 1.0):
             ref_a, ref_b, ref_c = dense_mutual(a, b, theta)
@@ -376,20 +385,80 @@ class TestMutualMatches:
         assert peak < 4800 * 4800 * 4 / 4
         assert len(ia) >= 4700 and np.array_equal(ia, ib) and (c > 0.2).all()
 
-    def test_similarity_builds_one_full_matrix(self):
-        # the temperature scales the 4800 x 32 side, not the 4800 x 4800 product
-        rng = np.random.default_rng(16)
-        matcher = CoarseMatcher(coarse_dim=32, cfg=MatcherConfig(), rng=rng)
-        fa = Tensor(rng.normal(size=(4800, 32)).astype(np.float32))
-        fb = Tensor(rng.normal(size=(4800, 32)).astype(np.float32))
+
+
+def dense_nll(fa, fb, rows, cols):
+    """Float64 dense reference of `coarse_nll` on [t, d] and [s, d] arrays:
+    the two log-softmaxes of s = fa @ fbᵀ / TEMPERATURE read at the pairs,
+    and the loss's gradients with respect to fa and fb."""
+    s = np.asarray(fa, np.float64) @ np.asarray(fb, np.float64).T / M.TEMPERATURE
+    ls, pairs = [], np.zeros_like(s)
+    for axis in (1, 0):
+        shifted = s - s.max(axis=axis, keepdims=True)
+        ls.append(shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True)))
+    np.add.at(pairs, (rows, cols), 1.0)
+    n = len(rows)
+    # d/ds of -(1/n) Σ (ls_row + ls_col): the pair counts less each softmax
+    # weighted by its row's or column's pair count
+    g = -(2 * pairs - pairs.sum(axis=1, keepdims=True) * np.exp(ls[0])
+          - pairs.sum(axis=0, keepdims=True) * np.exp(ls[1])) / n
+    loss = -(ls[0] + ls[1])[rows, cols].sum() / n
+    return loss, g @ fb / M.TEMPERATURE, g.T @ fa / M.TEMPERATURE
+
+
+class TestCoarseNll:
+    @staticmethod
+    def _pairs(t, s, n, seed):
+        """Unit features and n pairs, with repeated rows and columns."""
+        rng = np.random.default_rng(seed)
+        fa, fb = unit(rng.normal(size=(t, 16))), unit(rng.normal(size=(s, 16)))
+        rows = np.concatenate([rng.integers(0, t, n - 3), [0, 0, t - 1]])
+        cols = np.concatenate([rng.integers(0, s, n - 3), [1, 1, 1]])
+        return fa, fb, rows, cols
+
+    @staticmethod
+    def _grads(fa, fb, rows, cols, dtype):
+        ta, tb = (Tensor(x, requires_grad=True, dtype=dtype) for x in (fa, fb))
+        with GradientTape() as tape:
+            tape.watch(ta, tb)
+            loss = coarse_nll(ta, tb, rows, cols)
+            grads = backward(loss, tape)
+        return loss, grads[ta], grads[tb]
+
+    @pytest.mark.parametrize("t, s, rows", [(37, 53, 53), (53, 37, 7), (40, 40, 1)])
+    def test_equals_dense_reference(self, t, s, rows, monkeypatch):
+        # one block of 37 rows; 7-row blocks, the last of 4; one row per block
+        monkeypatch.setattr(M, "SCORE_BLOCK_BYTES", rows * s * 8)
+        fa, fb, pr, pc = self._pairs(t, s, 30, seed=t + s)
+        loss, ga, gb = self._grads(fa, fb, pr, pc, np.float64)
+        ref, ref_a, ref_b = dense_nll(fa, fb, pr, pc)
+        assert loss.shape == () and loss.dtype == np.float64
+        assert abs(loss.item() - ref) <= 1e-12 * abs(ref)
+        for got, want in ((ga, ref_a), (gb, ref_b)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_float32_near_float64_reference(self):
+        fa, fb, rows, cols = self._pairs(90, 70, 60, seed=3)
+        fa, fb = fa.astype(np.float32), fb.astype(np.float32)
+        loss, ga, gb = self._grads(fa, fb, rows, cols, np.float32)
+        ref, ref_a, ref_b = dense_nll(fa, fb, rows, cols)
+        assert loss.dtype == ga.dtype == gb.dtype == np.float32
+        assert abs(loss.item() - ref) <= 1e-6 * abs(ref)
+        for got, want in ((ga, ref_a), (gb, ref_b)):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    def test_large_pair_holds_no_full_matrix(self):
+        # 4800 x 4800 tokens at the matcher's scale, forward and backward
+        fa, fb, rows, cols = self._pairs(4800, 4800, 3800, seed=4)
+        fa, fb = fa.astype(np.float32), fb.astype(np.float32)
         tracemalloc.start()
         try:
-            s = matcher.similarity(fa, fb)
+            loss, ga, gb = self._grads(fa, fb, rows, cols, np.float32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert s.shape == (4800, 4800)
-        assert peak < 1.25 * 4800 * 4800 * 4
+        assert peak < 4800 * 4800 * 4 / 4
+        assert np.isfinite(loss.item()) and np.isfinite(ga).all() and np.isfinite(gb).all()
 
 
 class TestCoarseMatcher:
@@ -410,6 +479,36 @@ class TestCoarseMatcher:
         # argmax on the diagonal
         assert len(mset) == 16
         assert np.array_equal(mset.idx_a, mset.idx_b)
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_confidence_equals_dense_reference(self, dtype, rtol):
+        rng = np.random.default_rng(25)
+        matcher = CoarseMatcher(coarse_dim=8, cfg=MatcherConfig(d_model=16, n_blocks=2),
+                                rng=rng, dtype=dtype)
+        fa, fb = (Tensor(rng.normal(size=(8, h, w)), dtype=dtype) for h, w in ((5, 6), (4, 7)))
+        conf, grids = matcher.confidence(fa, fb)
+        ea, eb = matcher.embed(fa, fb)
+        ref = dual_softmax(ea.data.astype(np.float64) @ eb.data.T / M.TEMPERATURE)
+        assert grids == ((5, 6), (4, 7)) and conf.dtype == dtype and conf.shape == (30, 28)
+        assert np.allclose(conf.data, ref, rtol=rtol, atol=0)
+
+    def test_confidence_builds_one_full_matrix(self):
+        # 4800 tokens a side: the scores become the confidence in place
+        rng = np.random.default_rng(16)
+        matcher = CoarseMatcher(coarse_dim=32, cfg=MatcherConfig(), rng=rng)
+        fa, fb = (Tensor(rng.normal(size=(32, 60, 80)).astype(np.float32)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            conf, _ = matcher.confidence(fa, fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conf.shape == (4800, 4800) and conf.dtype == np.float32
+        assert peak < 1.25 * 4800 * 4800 * 4
+        assert np.isfinite(conf.data).all() and conf.data.min() >= 0 and conf.data.max() <= 1
+        for axis in (0, 1):
+            sums = conf.data.sum(axis=axis, dtype=np.float64)
+            assert (sums > 0).all() and (sums <= 1 + 1e-4).all()
 
     def test_feature_width_mismatch(self):
         cfg = MatcherConfig()

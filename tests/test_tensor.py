@@ -1,5 +1,7 @@
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -8,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import rotmatch
 from rotmatch import matcher as M
 from rotmatch import tensor as T
 from rotmatch.matcher import softmax_attention
@@ -564,7 +567,6 @@ def _fd_cases():
         "matmul_batched": ([r(2, 3, 4), r(2, 4, 3)],
                            lambda p: T.sum_((p[0] @ p[1]) ** 2.0)),
         "softmax": ([r(3, 5)], lambda p: T.sum_(T.softmax(p[0], axis=-1) ** 2.0)),
-        "log_softmax": ([r(3, 5)], lambda p: T.sum_(T.log_softmax(p[0], axis=-1) ** 2.0)),
         "layer_norm": ([r(4, 6), gain, bias],
                        lambda p: T.sum_(T.layer_norm(p[0], p[1], p[2]) ** 2.0)),
         "sum_axis": ([r(3, 4, 2)], lambda p: T.sum_(T.sum_(p[0], axis=1) ** 2.0)),
@@ -598,6 +600,11 @@ def _fd_cases():
         # the coarse stage's elu1 / transpose / sum / matmul / div chain
         "linear_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 2)],
                              lambda p: T.sum_(M.linear_attention(p[0], p[1], p[2]) ** 2.0)),
+        # the coarse loss, with repeated rows and columns among its pairs
+        "coarse_nll": ([Tensor(0.3 * rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+                        for shape in ((5, 3), (4, 3))],
+                       lambda p: M.coarse_nll(p[0], p[1], np.array([0, 2, 2, 4]),
+                                              np.array([1, 1, 3, 1]))),
         # the fine windows' matmul / scale / softmax / matmul chain
         "softmax_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 3)],
                               lambda p: T.sum_(softmax_attention(p[0], p[1], p[2]) ** 2.0)),
@@ -629,17 +636,21 @@ def test_op_gradients(name):
 
 
 def test_every_recording_op_has_a_case():
-    # an op records a backward function whose __qualname__ starts with the
-    # op's name, e.g. "conv2d.<locals>.bwd"
-    recording = {name for name, fn in vars(T).items()
-                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
+    # an op is a function of a rotmatch module that calls `tensor._record`;
+    # it records a backward function whose __qualname__ starts with the op's
+    # name, e.g. "conv2d.<locals>.bwd"
+    modules = [importlib.import_module(f"rotmatch.{m.name}")
+               for m in pkgutil.iter_modules(rotmatch.__path__)]
+    recording = {(mod.__name__, name) for mod in modules for name, fn in vars(mod).items()
+                 if inspect.isfunction(fn) and fn.__module__ == mod.__name__
                  and "_record" in fn.__code__.co_names}
-    assert {"neg", "conv2d", "elu1"} <= recording
+    assert {("rotmatch.tensor", "conv2d"), ("rotmatch.matcher", "coarse_nll")} <= recording
     reached = set()
     for params, f in _fd_cases().values():
         with GradientTape() as tape:
             f(params)
-        reached |= {bwd.__qualname__.split(".")[0] for _, _, bwd in tape._nodes}
+        reached |= {(bwd.__module__, bwd.__qualname__.split(".")[0])
+                    for _, _, bwd in tape._nodes}
     assert recording - reached == set()
 
 
@@ -719,7 +730,8 @@ class TestSoftmaxInto:
                                        (3000, 8), (700, 32), (700, 33), (25,)])
     def test_bit_identical_to_plain_max(self, shape):
         # short rows take their max column by column; a max is exact in any
-        # order, so every axis, layout and non-finite value gives numpy's
+        # order, so every axis, layout and non-finite value gives numpy's.
+        # softmax reads the Tensor's contiguous copy of a view
         rng = np.random.default_rng(21)
         x = rng.normal(size=shape).astype(np.float32) * 5
         x.flat[::97] = np.inf
@@ -730,8 +742,9 @@ class TestSoftmaxInto:
                 assert np.array_equal(T._max_keepdims(view, axis),
                                       view.max(axis=axis, keepdims=True), equal_nan=True)
                 with np.errstate(invalid="ignore"):
-                    got = T.softmax_into(view, axis, np.empty_like(view))
-                    want = self._reference(view, axis)
+                    tensor = Tensor(view)
+                    got = T.softmax(tensor, axis).data
+                    want = self._reference(tensor.data, axis)
                 assert np.array_equal(got, want, equal_nan=True)
 
     def test_short_rows_hold_no_full_size_temporary(self):
