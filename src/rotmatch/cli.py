@@ -100,6 +100,14 @@ def _modification(text):
     return text
 
 
+def _number(value):
+    """Text for a float in a modification tag: `:g`'s (r45, h0.15) if it
+    parses back to the value, else the fewest digits that do (NaN keeps
+    `:g`'s text, which the spec check then rejects)."""
+    texts = (f"{value:.{digits}g}" for digits in range(6, 18))
+    return next((t for t in texts if float(t) == value), f"{value:g}")
+
+
 def _cmd_generate(args):
     from .datasets import (DatasetManifest, parse_modification, save_sequence,
                            synth_dataset)
@@ -107,9 +115,9 @@ def _cmd_generate(args):
     h, w = args.size
     tags = []
     if args.rotate_a is not None:
-        tags.append(f"r{args.rotate_a:g}")
+        tags.append("r" + _number(args.rotate_a))
     if args.warp_s is not None:
-        tags.append(f"h{args.warp_s:g}")
+        tags.append("h" + _number(args.warp_s))
     try:
         for tag in tags:   # a bad copy fails before the base dataset is written
             parse_modification(tag)

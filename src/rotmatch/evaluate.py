@@ -36,19 +36,22 @@ def top_matches(matches):
 
 def evaluate_pairs(model, sequences, config):
     """Run the full matching + homography pipeline over sequence pairs.
-    The model's `match_pair` runs in eval mode and restores the mode it
-    found, so the model is left as it was. Each pair's `PairStats` (match
-    and window counts, RANSAC iterations, failure reason) is kept on the
-    report."""
+    Each sequence is one `match_pair` call, its reference image against its
+    five views; the pairs are then scored in order. The model's `match_pair`
+    runs in eval mode and restores the mode it found, so the model is left
+    as it was. Each pair's `PairStats` (match and window counts, RANSAC
+    iterations, failure reason) is kept on the report."""
     ecfg = config.eval
     report = MetricsReport(thresholds=tuple(float(t) for t in ecfg.thresholds))
     tasks = []
     for seq in sequences:
-        for k, img_a, img_b, hom in seq.pairs():
-            tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, img_b, hom))
+        pairs = list(seq.pairs())
+        results = model.match_pair(seq.image_a, [img_b for _, _, img_b, _ in pairs])
+        for (k, img_a, _, hom), result in zip(pairs, results):
+            tasks.append((f"{seq.name}/{k + 2}", seq.split, img_a, hom, result))
 
-    for pair_index, (pair_id, split, img_a, img_b, hom) in enumerate(tasks):
-        mset, matches, dropped = model.match_pair(img_a, img_b)
+    for pair_index, (pair_id, split, img_a, hom, result) in enumerate(tasks):
+        mset, matches, dropped = result
         stats = PairStats(coarse_matches=len(mset), fine_windows=len(matches),
                           fine_dropped=dropped)
         matches = top_matches(matches)

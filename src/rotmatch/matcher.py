@@ -128,13 +128,22 @@ def _sweep(a, b, theta_c):
 def mutual_matches(a, b, theta_c):
     """Mutual row/column argmax pairs of the dual-softmax confidence of the
     scores s = a @ bᵀ ([t, d] and [s, d] arrays), with confidence above the
-    threshold, as (idx_a, idx_b, confidence) in row order.
+    threshold, as (idx_a, idx_b, confidence) in row order: one `_sweep`,
+    then `_mutual` on its logsumexps and candidates."""
+    dt = np.result_type(a, b, np.float32)
+    a, b = np.asarray(a, dt), np.asarray(b, dt)
+    if not a.shape[0] or not b.shape[0]:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dt)
+    return _mutual(a, b, theta_c, *_sweep(a, b, theta_c))
 
-    One `_sweep` gives the logsumexps r and c and the candidates, the
-    entries whose row softmax exceeds theta_c / 2. The log-confidence
-    L = 2s - r - c is then computed in float64 for the candidates only, and
-    a candidate is kept if it is the first maximum of L among the candidates
-    of its row and of its column, with exp(L) > theta_c.
+
+def _mutual(a, b, theta_c, r, c, ia, ib):
+    """The mutual matches among the candidates (ia, ib) of a `_sweep` of
+    a @ bᵀ at theta_c, whose logsumexps are r and c.
+
+    The log-confidence L = 2s - r - c is computed in float64 for the
+    candidates only, and a candidate is kept if it is the first maximum of L
+    among the candidates of its row and of its column, with exp(L) > theta_c.
 
     This is exact. The confidence is the row softmax times a column softmax
     of at most 1, so a kept pair has row softmax > theta_c, and so has every
@@ -143,29 +152,29 @@ def mutual_matches(a, b, theta_c):
     sums to 1, so it has fewer than 2 / theta_c candidates (at most 9 at
     0.2); at theta_c = 0 all t * s scores are candidates.
     """
-    dt = np.result_type(a, b, np.float32)
-    a, b = np.asarray(a, dt), np.asarray(b, dt)
-    if not a.shape[0] or not b.shape[0]:
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dt)
-    r, c, ia, ib = _sweep(a, b, theta_c)
     L = 2 * np.einsum("ij,ij->i", a[ia], b[ib], dtype=np.float64) - r[ia] - c[ib]
     conf = np.exp(L)
     keep = conf > theta_c
     for own, other in ((ia, ib), (ib, ia)):   # drop all but each row's, then column's, best
         order = np.lexsort((other, -L, own))
         keep[order[np.diff(own[order], prepend=-1) == 0]] = False
-    return ia[keep], ib[keep], conf[keep].astype(dt)
+    return ia[keep], ib[keep], conf[keep].astype(a.dtype)
 
 
-def coarse_nll(fa, fb, rows, cols):
+def coarse_nll(fa, fb, rows, cols, theta_c):
     """-(1/n) Σ (2 s_ij - r_i - c_j) over the n pairs (rows, cols): the mean
     negative log dual-softmax confidence, s = fa @ fbᵀ / TEMPERATURE on
-    [t, d] and [s, d] Tensors. Its forward pass is one `_sweep`. Its backward
-    pass recomputes each block of s and adds its GEMMs into the gradients:
+    [t, d] and [s, d] Tensors, and the `mutual_matches` of the same scores
+    at theta_c. Its forward pass is one `_sweep`, at theta_c, whose
+    logsumexps give the loss and whose candidates give the matches. Its
+    backward pass recomputes each block of s and adds its GEMMs into the
+    gradients:
     dL/ds_kl = (a_k e^(s_kl - r_k) + b_l e^(s_kl - c_l) - 2·[kl is a pair]) / n,
-    with a_k the pairs in row k and b_l those in column l."""
+    with a_k the pairs in row k and b_l those in column l.
+
+    Returns (loss, (idx_a, idx_b, confidence))."""
     a, b, n = fa.data * (1.0 / TEMPERATURE), fb.data, len(rows)
-    r, c, _, _ = _sweep(a, b, 2.0)
+    r, c, ia, ib = _sweep(a, b, theta_c)
     s_p = np.einsum("ij,ij->i", a[rows], b[cols], dtype=np.float64)
     out = Tensor(np.asarray(((r[rows] - s_p) + (c[cols] - s_p)).sum() / n, a.dtype))
 
@@ -183,7 +192,7 @@ def coarse_nll(fa, fb, rows, cols):
         np.add.at(db, cols, -2 * a[rows])
         return da * (g / (n * TEMPERATURE)), db * (g / n)
 
-    return T._record(out, (fa, fb), bwd)
+    return T._record(out, (fa, fb), bwd), _mutual(a, b, theta_c, r, c, ia, ib)
 
 
 def l2_normalize(x, eps=1e-8):
@@ -314,15 +323,13 @@ class CoarseMatcher(Module):
         return Tensor(np.exp(p, out=p)), grids
 
     def match(self, feat_a, feat_b):
+        """Mutual-max matches above theta_c of the confidence of one pair of
+        [d, hc, wc] maps, without the t x s matrix."""
         fa, fb = self.embed(feat_a, feat_b)
-        return self.select(fa.data, fb.data, feat_a.shape[1:], feat_b.shape[1:])
-
-    def select(self, fa, fb, grid_a, grid_b):
-        """Mutual-max matches above theta_c of the confidence of two `embed`
-        outputs (arrays), without the t x s matrix."""
-        idx_a, idx_b, c = mutual_matches(fa * (1.0 / TEMPERATURE), fb, self.cfg.theta_c)
+        idx_a, idx_b, c = mutual_matches(fa.data * (1.0 / TEMPERATURE), fb.data,
+                                         self.cfg.theta_c)
         return CoarseMatchSet(idx_a=idx_a, idx_b=idx_b, confidence=c,
-                              grid_a=grid_a, grid_b=grid_b)
+                              grid_a=feat_a.shape[1:], grid_b=feat_b.shape[1:])
 
 
 def _tokens(x):

@@ -30,42 +30,62 @@ class MatcherModel(Module):
         return self.backbone.features(images)
 
     def match_pair(self, img_a, img_b):
-        """Match two [3, h, w] images of one size, values in [0, 1], in eval
-        mode.
+        """Match [3, h, w] images of one size, values in [0, 1], in eval mode:
+        image A against image B, or against each image of a list of B views.
 
-        Each image's backbone trunk (`Backbone.__call__`) gives its coarse
-        features, which are matched. The fine branch
-        (`Backbone.fine_features`) then runs on the whole maps only if the
-        fine stage keeps a window, and not at all if it keeps none; `refine`
-        runs in both cases and reports the dropped windows. Below
-        `tensor.LANE_PIXELS` pixels both images go through one batched pass;
-        from there each image gets its own trunk and fine-branch passes, in
-        its own `tensor.fork_join` lane.
+        One backbone trunk pass (`Backbone.__call__`) over [A, B1..Bn] gives
+        the coarse features, and A's tokens are matched against each view's.
+        The fine branch (`Backbone.fine_features`) then runs on the whole maps
+        of A and of each view whose pair keeps a fine window, and not at all
+        if no pair keeps one; `refine` runs for every pair and reports its
+        dropped windows. Below `tensor.LANE_PIXELS` pixels the images go
+        through one batched pass; from there each image gets its own trunk
+        and fine-branch passes, in its own `tensor.fork_join` lane. Every conv
+        gives an image the bits it gives it alone (`tensor.conv2d`), so a
+        pair's result depends neither on the other views nor on the lanes.
 
-        Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows).
+        Returns (CoarseMatchSet, list[FineMatch], n_dropped_windows) for one
+        image B, and a list of them, one per view in order, for a list.
         """
-        img_a, img_b = check_image(img_a, "image A"), check_image(img_b, "image B")
-        if img_a.shape != img_b.shape:
-            raise ValueError(f"images differ in size: A is {img_a.shape[1]}x{img_a.shape[2]}, "
-                             f"B is {img_b.shape[1]}x{img_b.shape[2]}; match_pair needs "
-                             f"one size")
+        listed = isinstance(img_b, (list, tuple))
+        views = list(img_b) if listed else [img_b]
+        if not views:
+            raise ValueError("match_pair needs at least one B view, got an empty list")
+        names = [f"B{i}" for i in range(1, len(views) + 1)] if listed else ["B"]
+        img_a = check_image(img_a, "image A")
+        views = [check_image(v, f"image {name}") for v, name in zip(views, names)]
+        for v, name in zip(views, names):
+            if v.shape != img_a.shape:
+                raise ValueError(f"images differ in size: A is {img_a.shape[1]}x{img_a.shape[2]}, "
+                                 f"{name} is {v.shape[1]}x{v.shape[2]}; match_pair needs "
+                                 f"one size")
         with self.mode(False):
-            imgs = np.stack([img_a, img_b]).astype(np.float32, copy=False)
+            imgs = np.stack([img_a] + views).astype(np.float32, copy=False)
+            # the images of each backbone pass: all in one batch, or one lane each
             if imgs[0, 0].size < T.LANE_PIXELS:
-                inputs = [Tensor(imgs)]
+                passes = [list(range(len(imgs)))]
             else:
-                inputs = [Tensor(x[None]) for x in imgs]
-            trunks = T.fork_join([lambda x=x: self.backbone(x) for x in inputs])
-            coarse = [c for t in trunks for c in t[0].data]
-            mset = self.coarse.match(Tensor(coarse[0]), Tensor(coarse[1]))
-            fine_hw = trunks[0][2].shape[2:]
-            if self.fine.windows(mset, fine_hw, fine_hw)[0].any():
-                fine = [f for out in T.fork_join([lambda t=t: self.backbone.fine_features(*t[1:])
-                                                  for t in trunks]) for f in out.data]
-            else:   # refine reads only the maps' size: give it maps with no channel
-                fine = [np.empty((0,) + fine_hw, np.float32)] * 2
-            matches, dropped = self.fine.refine(Tensor(fine[0]), Tensor(fine[1]), mset)
-        return mset, matches, dropped
+                passes = [[i] for i in range(len(imgs))]
+            trunks = T.fork_join([lambda g=g: self.backbone(Tensor(imgs[g])) for g in passes])
+            coarse, u2, f1 = ([m for t in trunks for m in t[k].data] for k in range(3))
+            msets = [self.coarse.match(Tensor(coarse[0]), Tensor(c)) for c in coarse[1:]]
+            fine_hw = f1[0].shape[1:]
+            kept = [i for i, mset in enumerate(msets, 1)
+                    if self.fine.windows(mset, fine_hw, fine_hw)[0].any()]
+            # refine reads only the size of the maps of a pair that keeps no window
+            fine = [np.empty((0,) + fine_hw, np.float32)] * len(imgs)
+            if kept:   # the fine branch on A and the views that keep a window
+                need = {0, *kept}
+                groups = [g for g in ([i for i in g if i in need] for g in passes) if g]
+                outs = T.fork_join([lambda g=g: self.backbone.fine_features(
+                    Tensor(np.stack([u2[i] for i in g])), Tensor(np.stack([f1[i] for i in g])))
+                    for g in groups])
+                for g, out in zip(groups, outs):
+                    for i, f in zip(g, out.data):
+                        fine[i] = f
+            results = [(mset,) + self.fine.refine(Tensor(fine[0]), Tensor(fine[i]), mset)
+                       for i, mset in enumerate(msets, 1)]
+        return results if listed else results[0]
 
 
 def save_model(path, model):

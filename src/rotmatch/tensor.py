@@ -447,9 +447,9 @@ def layer_norm(a, gain, bias, eps=1e-5):
 # ---------------------------------------------------------------------------
 # convolution / resampling
 
-# Bytes of one run of `conv2d`: the forward pass stacks a run's k*k shifted
-# input slices, the backward pass computes its per-tap products, while the
-# run is in cache.
+# Bytes of one image's run of `conv2d`: the forward pass stacks a run's k*k
+# shifted input slices, the backward pass computes its per-tap products,
+# while the run is in cache.
 CONV_BLOCK_BYTES = 1 << 20
 # Pixels per image from which a pair's two backbone passes (batch 1 each) and
 # block sides run in `fork_join` lanes. Median match_pair ms, lanes vs batch, on
@@ -476,13 +476,17 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
     convolved at stride 1 with the taps kernel[:, :, a::s, c::s]; kernel tap
     (u, v) reads the contiguous slice at offset (u//s)*W + v//s, and the
     W - w' junk columns per output row are dropped. The forward pass works
-    through the output positions in runs: it copies a run's k*k tap slices
-    into one [b, k*k*c_in, run] buffer of at most CONV_BLOCK_BYTES, makes one
+    through the output positions in runs, and through a run one image at a
+    time: it copies the image's k*k tap slices of the run into one
+    [k*k*c_in, run] buffer of at most CONV_BLOCK_BYTES, makes one
     [c_out, k*k*c_in] GEMM of it and adds the bias there; a 1x1 kernel has
     one tap, whose GEMM reads the slice without a copy. The backward pass
-    runs the same slices per tap: one g @ sliceᵀ GEMM per tap for the kernel
-    gradient and kernelᵀ @ g added at the tap's offset for the input
-    gradient, in runs of CONV_BLOCK_BYTES of per-tap products.
+    runs the same slices per image and tap: one g @ sliceᵀ GEMM per tap for
+    the kernel gradient and kernelᵀ @ g added at the tap's offset for the
+    input gradient, in runs of CONV_BLOCK_BYTES of one image's per-tap
+    products. A run's length depends on one image's widths, not on the
+    batch, so each image's output and input gradient are the bytes it gets
+    in a batch of one.
     """
     b, ci, h, w = x.data.shape
     co, cik, k, kw = kernel.data.shape
@@ -517,23 +521,24 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))    # [k, k, co, ci]
     kstack = np.concatenate([kt[u, v] for u, v, *_ in taps], axis=1)   # [co, k*k*ci]
 
-    def runs(width):
-        run = max(1, CONV_BLOCK_BYTES // (b * width * dtype.itemsize))
+    def runs(width):   # one image's runs: the same for every batch size
+        run = max(1, CONV_BLOCK_BYTES // (width * dtype.itemsize))
         return [(r0, min(r0 + run, n)) for r0 in range(0, n, run)]
 
     acc = np.empty((b, co, ho * ws), dtype=dtype)
     fwd_runs = runs(max(co, k * k * ci))
-    stack = np.empty((b, k * k * ci, fwd_runs[0][1]), dtype=dtype) if k > 1 else None
+    stack = np.empty((k * k * ci, fwd_runs[0][1]), dtype=dtype) if k > 1 else None
     for r0, r1 in fwd_runs:
-        if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
-            st = parts[0, 0, :, :, r0:r1]
-        else:
-            st = stack[:, :, :r1 - r0]
-            for i, (u, v, a, c, off) in enumerate(taps):
-                st[:, i * ci:(i + 1) * ci] = parts[a, c, :, :, off + r0:off + r1]
-        np.matmul(kstack, st, out=acc[:, :, r0:r1])
-        if bias is not None:
-            acc[:, :, r0:r1] += bias.data[:, None]
+        for i in range(b):
+            if k == 1:   # one tap: the GEMM reads its slice of `parts` in place
+                st = parts[0, 0, i, :, r0:r1]
+            else:
+                st = stack[:, :r1 - r0]
+                for j, (u, v, a, c, off) in enumerate(taps):
+                    st[j * ci:(j + 1) * ci] = parts[a, c, i, :, off + r0:off + r1]
+            np.matmul(kstack, st, out=acc[i, :, r0:r1])
+            if bias is not None:
+                acc[i, :, r0:r1] += bias.data[:, None]
     # free the run buffer before the output copy, which may then reuse its
     # memory: batch-2 convs at 32x32 and 64x64 that kept it took twice as long
     del stack, st
@@ -546,15 +551,17 @@ def conv2d(x, kernel, stride=1, padding=0, bias=None):
         gk = np.zeros_like(kt)
         gparts = np.zeros_like(parts) if x.requires_grad else None
         bwd_runs = runs(max(co, ci))
-        gtmp = np.empty((b, ci, bwd_runs[0][1]), dtype=dtype)
+        gtmp = np.empty((ci, bwd_runs[0][1]), dtype=dtype)
         for r0, r1 in bwd_runs:
-            gr, t = gf[:, :, r0:r1], gtmp[:, :, :r1 - r0]
-            for u, v, a, c, off in taps:
-                src = parts[a, c, :, :, off + r0:off + r1]
-                gk[u, v] += np.matmul(gr, src.transpose(0, 2, 1)).sum(axis=0)
-                if gparts is not None:
-                    np.matmul(kt[u, v].T, gr, out=t)
-                    gparts[a, c, :, :, off + r0:off + r1] += t
+            t = gtmp[:, :r1 - r0]
+            for i in range(b):
+                gr = gf[i, :, r0:r1]
+                for u, v, a, c, off in taps:
+                    src = parts[a, c, i, :, off + r0:off + r1]
+                    gk[u, v] += gr @ src.T
+                    if gparts is not None:
+                        np.matmul(kt[u, v].T, gr, out=t)
+                        gparts[a, c, i, :, off + r0:off + r1] += t
         # free the run temporaries first, as in the forward pass: the input
         # gradient's two full-size arrays may then reuse their memory
         del gp, gf, gtmp, gr, t, src

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .datasets import gt_coarse_assignment, load_manifest
 from .backbone import FINE_STRIDE
-from .matcher import FINE_WINDOW, coarse_nll
+from .matcher import FINE_WINDOW, CoarseMatchSet, coarse_nll
 from .model import MatcherModel, save_model
 from .tensor import GradientTape, Tensor, backward
 
@@ -72,10 +72,12 @@ def pair_loss_terms(model, coarse_a, coarse_b, fine_a, fine_b, hom, h, w):
         return None, None, stats
 
     fa, fb = model.coarse.embed(coarse_a, coarse_b)
-    nll = coarse_nll(fa, fb, rows, assign[rows])
+    nll, (idx_a, idx_b, conf) = coarse_nll(fa, fb, rows, assign[rows],
+                                           model.coarse.cfg.theta_c)
 
     # fine supervision on mutual matches that hit the ground-truth cell
-    mset = model.coarse.select(fa.data, fb.data, coarse_a.shape[1:], coarse_b.shape[1:])
+    mset = CoarseMatchSet(idx_a=idx_a, idx_b=idx_b, confidence=conf,
+                          grid_a=coarse_a.shape[1:], grid_b=coarse_b.shape[1:])
     hit = assign[mset.idx_a] == mset.idx_b
     stats["coarse_correct"] = int(hit.sum())
     keep, centers_a, centers_b, points_a = model.fine.windows(
@@ -211,6 +213,7 @@ def train(config, dataset_root, out_dir, log_every=25, progress=None):
                     log_f.flush()
                     if progress:
                         progress(entry)
+            del tape   # its record holds the step's activations; validation needs none
 
             if step % tcfg.val_interval == 0 or step == tcfg.steps:
                 report = evaluate_pairs(model, val_seqs, config)

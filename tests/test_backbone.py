@@ -111,6 +111,18 @@ class TestImageValidation:
         with pytest.raises(ValueError, match="images differ in size: A is 32x32, B is 32x40"):
             _tiny_matcher().match_pair(GRAY, np.full((3, 32, 40), 0.5, np.float32))
 
+    def test_match_pair_rejects_a_view_by_its_number(self):
+        wide = np.full((3, 32, 40), 0.5, np.float32)
+        with pytest.raises(ValueError, match="images differ in size: A is 32x32, B3 is 32x40"):
+            _tiny_matcher().match_pair(GRAY, [GRAY, GRAY, wide])
+        with pytest.raises(ValueError, match="image B2 has non-finite values"):
+            _tiny_matcher().match_pair(GRAY, [GRAY, np.full_like(GRAY, np.nan)])
+
+    @pytest.mark.parametrize("wrap", [list, tuple])
+    def test_match_pair_rejects_no_view(self, wrap):
+        with pytest.raises(ValueError, match="at least one B view, got an empty list"):
+            _tiny_matcher().match_pair(GRAY, wrap())
+
 
 class TestMemory:
     def test_features_480x640_peak(self):
@@ -431,6 +443,64 @@ class TestFineBranchOnDemand:
         want = model.fine.refine(Tensor(fine_a), Tensor(fine_b), mset)
         assert repr((matches, dropped)) == repr(want)
 
+    @pytest.mark.parametrize("size", [(64, 64), (160, 160)])   # batched, then laned
+    def test_fine_branch_sees_a_and_the_views_that_keep_a_window(self, size, monkeypatch):
+        # of four views, the first and third pairs keep windows, the second
+        # keeps none and the fourth has only windows that leave the fine map;
+        # each pair's result is the one match_pair gives it alone
+        from rotmatch.matcher import CoarseMatcher, CoarseMatchSet
+        model, _ = _calibrated_matcher("c4star", size)
+        rng = np.random.default_rng(3)
+        imgs = rng.random((5, 3) + size).astype(np.float32)
+        gh, gw = grid = (size[0] // 8, size[1] // 8)
+
+        def mset(idx):
+            return CoarseMatchSet(idx_a=idx, idx_b=idx[::-1], confidence=np.ones(len(idx)),
+                                  grid_a=grid, grid_b=grid)
+
+        inner = np.arange(gw + 1, 2 * gw - 1)
+        msets = [mset(inner), mset(inner[:0]), mset(inner[1:3]),
+                 mset(np.arange((gh - 1) * gw, gh * gw))]
+        queue = []
+        monkeypatch.setattr(CoarseMatcher, "match", lambda self, a, b: queue.pop(0))
+        trunks, seen = [], []
+        backbone, fine_features = Backbone.__call__, Backbone.fine_features
+
+        def trunk(self, x):
+            out = backbone(self, x)
+            trunks.append((x.data, out))
+            return out
+
+        def fine(self, u2, f1):
+            seen.append((u2.data, f1.data))
+            return fine_features(self, u2, f1)
+
+        monkeypatch.setattr(Backbone, "__call__", trunk)
+        monkeypatch.setattr(Backbone, "fine_features", fine)
+        queue[:] = msets
+        got = model.match_pair(imgs[0], list(imgs[1:]))
+        maps = {}
+        for x, (_, u2, f1) in trunks:
+            for j, img in enumerate(x):
+                maps[[np.array_equal(img, im) for im in imgs].index(True)] = (u2.data[j], f1.data[j])
+        # the images whose trunk maps each fine-branch pass got (lanes may
+        # run in either order)
+        given = [[i for i, (u2_i, f1_i) in maps.items()
+                  if u2[j].tobytes() == u2_i.tobytes() and f1[j].tobytes() == f1_i.tobytes()]
+                 for u2, f1 in seen for j in range(len(u2))]
+        if size[0] * size[1] < T.LANE_PIXELS:
+            assert [len(u2) for u2, _ in seen] == [3] and given == [[0], [1], [3]]
+        else:
+            assert [len(u2) for u2, _ in seen] == [1, 1, 1]
+            assert sorted(given) == [[0], [1], [3]]
+        alone = []
+        for i, m in enumerate(msets):
+            queue[:] = [m]
+            alone.append(model.match_pair(imgs[0], imgs[i + 1]))
+        assert [len(matches) for _, matches, _ in got] == [len(inner), 0, 2, 0]
+        assert [dropped for _, _, dropped in got] == [0, 0, 0, gw]
+        assert repr(got) == repr(alone)
+
     def test_calibration_sets_fine_branch_norm(self):
         from rotmatch.steerable import calibrate_norm_stats
         model = Backbone(BackboneConfig(variant="c4star"), rng=np.random.default_rng(0))
@@ -439,3 +509,35 @@ class TestFineBranchOnDemand:
         x = Tensor(np.random.default_rng(1).random((1, 3, 32, 32)).astype(np.float32))
         calibrate_norm_stats(model, x)
         assert norm.running_mean.all() and (norm.running_var != 1).all()
+
+
+class TestBatchInvariance:
+    def test_trunk_and_fine_branch(self):
+        # in eval mode (the norms folded into the convs) every image of a
+        # batch gets the trunk maps, fine features and input gradient bytes
+        # it gets alone; at 96x104 a batch of 2 or more spans more conv runs
+        # than one image
+        from rotmatch.tensor import GradientTape, backward
+        model, _ = _calibrated_matcher("c4star", (96, 104))
+        bb = model.backbone
+        rng = np.random.default_rng(4)
+        images = rng.random((6, 3, 96, 104)).astype(np.float32)
+        g_coarse, g_fine = rng.normal(size=(32, 12, 13)), rng.normal(size=(16, 48, 52))
+
+        def run(x):
+            xt = Tensor(x, requires_grad=True)
+            with GradientTape() as tape:
+                tape.watch(xt)
+                coarse, u2, f1 = bb(xt)
+                fine = bb.fine_features(u2, f1)
+                loss = (T.sum_(coarse * Tensor(np.broadcast_to(g_coarse, coarse.shape)))
+                        + T.sum_(fine * Tensor(np.broadcast_to(g_fine, fine.shape))))
+                gx = backward(loss, tape)[xt]
+            return [coarse.data, u2.data, f1.data, fine.data, gx]
+
+        alone = [run(x[None]) for x in images]
+        for n in (1, 2, 4, 6):
+            outs = run(images[:n])
+            for i in range(n):
+                for got, want in zip(outs, alone[i]):
+                    assert got[i].tobytes() == want[0].tobytes()

@@ -36,6 +36,20 @@ class TestGenerate:
             for iw, ie in zip([w.image_a] + w.images_b, [e.image_a] + e.images_b):
                 assert np.abs(iw - ie).max() <= 0.5 / 255 + 1e-6
 
+    def test_copy_tag_keeps_every_digit(self, tmp_path):
+        # `:g` would write r45.1235 and rotate by 45.1235 degrees
+        from rotmatch.datasets import load_manifest
+        out = str(tmp_path / "data")
+        main(["generate", "--out", out, "--scenes", "1", "--size", "32x32",
+              "--seed", "5", "--rotate-a", "45.1234567", "--warp-s", "0.15"])
+        assert sorted(os.listdir(tmp_path)) == ["data", "data-h0.15", "data-r45.1234567"]
+        written = load_manifest(out + "-r45.1234567")
+        assert [e["modification"] for e in written.scenes] == ["r45.1234567"]
+        evaluated = load_manifest(out).load(written.scenes[0]["name"], "r45.1234567")
+        seq = written.sequences()[0]
+        for hw, he in zip(seq.homographies, evaluated.homographies):
+            assert np.array_equal(hw.matrix, he.matrix)
+
     @pytest.mark.parametrize("scenes", ["0", "-2"])
     def test_no_scenes_exit_nonzero(self, tmp_path, scenes):
         out = str(tmp_path / "data")

@@ -421,7 +421,7 @@ class TestCoarseNll:
         ta, tb = (Tensor(x, requires_grad=True, dtype=dtype) for x in (fa, fb))
         with GradientTape() as tape:
             tape.watch(ta, tb)
-            loss = coarse_nll(ta, tb, rows, cols)
+            loss, _ = coarse_nll(ta, tb, rows, cols, 0.2)
             grads = backward(loss, tape)
         return loss, grads[ta], grads[tb]
 
@@ -687,15 +687,14 @@ class TestPairLanes:
             assert [len(t) for t in threads.values()] == [n, n]
 
     def test_image_features_match_the_batch(self, pair_model):
-        # a batch-1 pass convolves in runs twice as long as the batch-2
-        # pass's, which rounds differently
+        # a conv gives each image of a batch the bytes it gives it alone
         model, pair = pair_model
         batch = model.backbone(Tensor(pair))
         _, passes, _ = self.match(model, pair)
         for x, maps in passes:
             i = [np.array_equal(x[0], img) for img in pair].index(True)
             for got, want in zip(maps, batch):
-                assert np.abs(got[0] - want.data[i]).max() <= 1e-6 * np.abs(want.data[i]).max()
+                assert got[0].tobytes() == want.data[i].tobytes()
 
     def test_embed_under_a_tape_runs_here(self, pair_model, monkeypatch):
         model, pair = pair_model

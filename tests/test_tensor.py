@@ -140,11 +140,11 @@ class TestConv2d:
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_runs_and_bias_against_loop_oracle(self, k, stride, bias, monkeypatch):
         # c_out = 32 >= k*k*c_in, so both passes work in runs of
-        # 4096 / (2 * 32 * 8) = 8 output positions, and in every case here
+        # 2048 / (32 * 8) = 8 output positions, and in every case here
         # several runs with a short last one; 1x1 kernels get no padding, so
         # the last run reads the image, not zero rows
         pad = min(k // 2, 1)
-        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 2048)
         rng = np.random.default_rng(10 * k + stride)
         x = rng.normal(size=(2, 2, 9, 11))
         kern = rng.normal(size=(32, 2, k, k))
@@ -174,9 +174,9 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_one_tap_runs_against_loop_oracle(self, stride, padding, monkeypatch):
         # a 1x1 kernel has one tap, whose GEMM reads the input in place;
-        # c_in = 12 > c_out = 5 sets runs of 4096 / (2 * 12 * 8) = 21
+        # c_in = 12 > c_out = 5 sets runs of 2048 / (12 * 8) = 21
         # output positions, so every case here spans several runs
-        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 2048)
         rng = np.random.default_rng(30 + 2 * stride + padding)
         x = rng.normal(size=(2, 12, 9, 11))
         kern = rng.normal(size=(5, 12, 1, 1))
@@ -213,6 +213,39 @@ class TestConv2d:
             for y in got:
                 assert y.dtype == want[0].dtype == dtype
                 assert y.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_batch_invariant(self, k, stride, bias, dtype, monkeypatch):
+        # each image of a batch gets the output and input gradient bytes it
+        # gets alone. Runs of 4096 bytes are 6 to 85 output positions here,
+        # and every pass covers at least 128, so each spans several runs
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", 4096)
+        rng = np.random.default_rng(70 + 10 * k + 2 * stride + bias)
+        images = rng.normal(size=(6, 5, 21, 23))
+        kern = Tensor(rng.normal(size=(12, 5, k, k)), dtype=dtype)
+        bvec = Tensor(rng.normal(size=12), dtype=dtype) if bias else None
+        pad = min(k // 2, 1)
+        ho, wo = ((n + 2 * pad - k) // stride + 1 for n in images.shape[2:])
+        g = rng.normal(size=(12, ho, wo))
+
+        def conv(x):
+            xt = Tensor(x, requires_grad=True, dtype=dtype)
+            with GradientTape() as tape:
+                tape.watch(xt)
+                y = T.conv2d(xt, kern, stride=stride, padding=pad, bias=bvec)
+                gy = Tensor(np.broadcast_to(g, y.shape), dtype=dtype)
+                return y.data, backward(T.sum_(y * gy), tape)[xt]
+
+        alone = [conv(x[None]) for x in images]
+        for n in (1, 2, 4, 6):
+            y, gx = conv(images[:n])
+            assert y.dtype == gx.dtype == dtype
+            for i in range(n):
+                assert y[i].tobytes() == alone[i][0][0].tobytes()
+                assert gx[i].tobytes() == alone[i][1][0].tobytes()
 
     def test_bias_shape_checked(self):
         with pytest.raises(ValueError, match=r"bias must have shape \(3,\)"):
@@ -604,7 +637,7 @@ def _fd_cases():
         "coarse_nll": ([Tensor(0.3 * rng.normal(size=shape), requires_grad=True, dtype=np.float64)
                         for shape in ((5, 3), (4, 3))],
                        lambda p: M.coarse_nll(p[0], p[1], np.array([0, 2, 2, 4]),
-                                              np.array([1, 1, 3, 1]))),
+                                              np.array([1, 1, 3, 1]), 0.2)[0]),
         # the fine windows' matmul / scale / softmax / matmul chain
         "softmax_attention": ([r(2, 2, 5, 3), r(2, 2, 4, 3), r(2, 2, 4, 3)],
                               lambda p: T.sum_(softmax_attention(p[0], p[1], p[2]) ** 2.0)),

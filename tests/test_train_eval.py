@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from rotmatch import tensor as T
-from rotmatch.backbone import FINE_STRIDE
+from rotmatch.backbone import FINE_STRIDE, Backbone
 from rotmatch.config import Config
 from rotmatch.datasets import (Sequence, _Texture, SynthParams, synth_dataset)
-from rotmatch.evaluate import (equivariance_check, evaluate, evaluate_pairs,
+from rotmatch.evaluate import (EvalRun, equivariance_check, evaluate, evaluate_pairs,
                                match_images, match_overlay, parse_csv,
                                render_table, report_csv)
 from rotmatch.geometry import Homography
-from rotmatch.matcher import CoarseMatchSet, FineMatch
+from rotmatch.matcher import CoarseMatchSet, FineMatch, FineMatcher
 from rotmatch.model import MatcherModel
 from rotmatch.tensor import GradientTape, backward
 from rotmatch.train import batch_loss, sample_batch, train
@@ -205,19 +205,23 @@ class _OracleModel:
         self.queue = list(homs_in_order)
         self.cell = cell
 
-    def match_pair(self, img_a, img_b):
-        hom = self.queue.pop(0)
-        h, w = img_a.shape[1:]
-        hc, wc = h // self.cell, w // self.cell
-        matches = []
-        for r in range(hc):
-            for c in range(wc):
-                pa = ((c + 0.5) * self.cell, (r + 0.5) * self.cell)
-                pb = hom.apply(np.array(pa))
-                if 0 <= pb[0] < w and 0 <= pb[1] < h:
-                    matches.append(FineMatch(point_a=pa, point_b=(float(pb[0]), float(pb[1])),
-                                             confidence=1.0))
-        return _coarse_set(len(matches)), matches, 0
+    def match_pair(self, img_a, views):
+        out = []
+        for _ in views:
+            hom = self.queue.pop(0)
+            h, w = img_a.shape[1:]
+            hc, wc = h // self.cell, w // self.cell
+            matches = []
+            for r in range(hc):
+                for c in range(wc):
+                    pa = ((c + 0.5) * self.cell, (r + 0.5) * self.cell)
+                    pb = hom.apply(np.array(pa))
+                    if 0 <= pb[0] < w and 0 <= pb[1] < h:
+                        matches.append(FineMatch(point_a=pa,
+                                                 point_b=(float(pb[0]), float(pb[1])),
+                                                 confidence=1.0))
+            out.append((_coarse_set(len(matches)), matches, 0))
+        return out
 
 
 def _coarse_set(n):
@@ -225,6 +229,34 @@ def _coarse_set(n):
     idx = np.arange(n)
     return CoarseMatchSet(idx_a=idx, idx_b=idx, confidence=np.ones(n),
                           grid_a=(8, 8), grid_b=(8, 8))
+
+
+def test_one_coarse_sweep_per_training_pair(trained, monkeypatch):
+    # the loss's sweep also gives the pair's mutual matches: one `_sweep`
+    # per pair, at theta_c, and the match set `mutual_matches` gives
+    import rotmatch.matcher as M
+    from rotmatch.datasets import load_manifest
+    from rotmatch.tensor import Tensor
+    from rotmatch.train import pair_loss_terms
+    cfg, _, model, data = trained
+    seq = load_manifest(data).sequences()[0]
+    imgs = np.stack([seq.image_a, seq.images_b[0]]).astype(np.float32)
+    with model.mode(False):
+        coarse, fine = model.features(Tensor(imgs))
+        fa, fb = model.coarse.embed(coarse[0], coarse[1])
+        want = M.mutual_matches(fa.data * (1.0 / M.TEMPERATURE), fb.data, cfg.matcher.theta_c)
+        sweeps, msets = [], []
+        sweep, windows = M._sweep, FineMatcher.windows
+        monkeypatch.setattr(M, "_sweep", lambda a, b, theta: sweeps.append(theta)
+                            or sweep(a, b, theta))
+        monkeypatch.setattr(FineMatcher, "windows", lambda self, mset, *shapes: (
+            msets.append(mset) or windows(self, mset, *shapes)))
+        nll, _, stats = pair_loss_terms(model, coarse[0], coarse[1], fine[0], fine[1],
+                                        seq.homographies[0], 64, 64)
+    assert sweeps == [cfg.matcher.theta_c] and len(msets) == 1
+    assert len(want[0]) > 0 and np.isfinite(nll.data)
+    for got, ref in zip((msets[0].idx_a, msets[0].idx_b, msets[0].confidence), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 class TestEvaluate:
@@ -311,8 +343,8 @@ class TestEvaluate:
         class _NoMatches:
             config = cfg
 
-            def match_pair(self, a, b):
-                return _coarse_set(0), [], 0
+            def match_pair(self, a, views):
+                return [(_coarse_set(0), [], 0) for _ in views]
 
         report = evaluate_pairs(_NoMatches(), seqs, cfg)
         assert report.n_failures == 5
@@ -364,6 +396,35 @@ class TestEvaluate:
             assert (s.ransac_iterations > 0) == (s.fine_windows >= 4)
         assert sum(s.failure is not None for s in stats) == report.n_failures
         assert sum(s.fine_windows for s in stats) > 0
+
+
+    @pytest.mark.parametrize("size", [96, 160])   # one batched pass, then one lane per image
+    def test_sequence_calls_give_per_pair_results(self, trained, size, tmp_path, monkeypatch):
+        # one match_pair call per sequence scores each pair as its own call
+        # does: the same report rows, pair stats and RANSAC seeds
+        cfg, _, model, _ = trained
+        seqs = synth_dataset(str(tmp_path / "d"), 2, size, size, seed=21).sequences()
+        batches, backbone = [], Backbone.__call__
+        monkeypatch.setattr(Backbone, "__call__",
+                            lambda self, x: batches.append(x.shape[0]) or backbone(self, x))
+
+        class _PerPair:
+            config = cfg
+
+            def match_pair(self, img_a, views):
+                return [model.match_pair(img_a, img_b) for img_b in views]
+
+        report = evaluate_pairs(model, seqs, cfg)
+        calls = len(batches)
+        want = evaluate_pairs(_PerPair(), seqs, cfg)
+        assert batches[:calls] == ([6, 6] if size * size < T.LANE_PIXELS else [1] * 12)
+        assert report.pair_ids == want.pair_ids and len(report.pair_ids) == 10
+        assert repr(report.pair_stats) == repr(want.pair_stats)
+        assert list(report.rows("d", "c4star")) == list(want.rows("d", "c4star"))
+        csv = [report_csv(EvalRun("c", "d", "none", r, 0.0, "h"), "c4star") for r in (report, want)]
+        assert csv[0] == csv[1]
+        assert sum(s.fine_windows for s in report.pair_stats) > 0
+        assert sum(s.ransac_iterations > 0 for s in report.pair_stats) > 0
 
 
 class TestMatchImages:
